@@ -130,6 +130,17 @@ def _values_on_units(chi: Character) -> np.ndarray:
     return vals
 
 
+def family_mask(family: Family, odd: np.ndarray, primitive: np.ndarray) -> np.ndarray:
+    """Membership of a family, from the parity and primitivity masks."""
+    return {
+        Family.ALL: np.ones_like(odd),
+        Family.ODD: odd,
+        Family.EVEN: ~odd,
+        Family.PRIMITIVE_ODD: odd & primitive,
+        Family.IMPRIMITIVE_ODD: odd & ~primitive,
+    }[family]
+
+
 def enumerate_family(group: UnitGroup, family: Family = Family.ALL) -> list[Character]:
     """Characters of the group in ascending index order, filtered.
 
@@ -138,18 +149,9 @@ def enumerate_family(group: UnitGroup, family: Family = Family.ALL) -> list[Char
     """
     if family in (Family.PRIMITIVE_ODD, Family.IMPRIMITIVE_ODD) and group.q == group.b:
         raise WrongModulus(f"{family.value} filter needs the mod-b**2 group")
-    b = group.b
-    if family is Family.ALL:
-        keep = lambda j: True
-    elif family is Family.ODD:
-        keep = lambda j: j % 2 == 1
-    elif family is Family.EVEN:
-        keep = lambda j: j % 2 == 0
-    elif family is Family.PRIMITIVE_ODD:
-        keep = lambda j: j % 2 == 1 and j % b != 0
-    else:
-        keep = lambda j: j % 2 == 1 and j % b == 0
-    return [Character(group, j) for j in range(group.phi) if keep(j)]
+    idx = np.arange(group.phi)
+    keep = family_mask(family, idx % 2 == 1, idx % group.b != 0)
+    return [Character(group, j) for j in np.flatnonzero(keep).tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +181,6 @@ def lift_and_twist(xi: Character, chi: Character) -> Character:
     return Character(gb2, (chi.index + gb.b * xi.index) % gb2.phi)
 
 
-@lru_cache(maxsize=None)
 def companion_mod_b(group: UnitGroup) -> UnitGroup:
     """Mod-b group whose primitive root is the reduction of group.g."""
     if group.q == group.b:

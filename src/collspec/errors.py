@@ -36,3 +36,15 @@ class BadDiscriminant(VerificationError):
 
 class CutoffBelowModulus(VerificationError):
     """Truncated prime sums run over m < p <= N; the cutoff must exceed m."""
+
+
+class BaseOutOfRange(VerificationError, ValueError):
+    """The base is a prime outside the range the requested check supports."""
+
+
+class CutoffTooShort(VerificationError, ValueError):
+    """The series oracle needs a truncation of at least q**2 terms."""
+
+
+class ExponentOutOfRange(VerificationError, ValueError):
+    """The prime-sum exponent s lies outside the check's range."""

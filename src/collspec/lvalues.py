@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import Character, Family, enumerate_family, gauss_sum
-from .errors import BadDiscriminant, PrincipalCharacter
-from .spectrum import _require_primitive_odd, bernoulli_b1, verify_decomposition
+from .errors import BadDiscriminant, CutoffTooShort, PrincipalCharacter
+from .spectrum import _require_primitive_odd, bernoulli_b1, dual_transforms, spectrum_of
 from .unit_group import Level, build_unit_group, is_odd_prime
 
 
@@ -71,7 +71,6 @@ def _harmonic_by_residue(q: int, n_eff: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def max_partial_sum(chi: Character) -> float:
     """M_chi: exact one-period maximum of |sum_{n <= t} chi(n)|."""
     running = np.cumsum(chi.values_by_residue()[1:])  # t = 1 .. q-1; t = 0 gives 0
@@ -89,7 +88,7 @@ def l_value_series(chi: Character, cutoff: int) -> LValue:
         raise PrincipalCharacter("the series needs a non-principal character")
     q = chi.group.q
     if cutoff < q * q:
-        raise ValueError(f"truncation {cutoff} too short; need at least q^2 = {q * q}")
+        raise CutoffTooShort(f"truncation {cutoff} too short; need at least q^2 = {q * q}")
     n_eff = -(-cutoff // q) * q
     harmonic = _harmonic_by_residue(q, n_eff)
     value = complex(np.dot(chi.values_by_residue(), harmonic))
@@ -115,19 +114,16 @@ class EncodingRow:
 
 def verify_encoding(b: int) -> list[EncodingRow]:
     """|s0_hat| = (b/(pi*phi)) |L(1,chi)| |S_G(chi)| per primitive odd chi."""
-    group = build_unit_group(b, Level.MOD_B_SQUARED)
+    spec = spectrum_of(b)
     rows = []
-    for r in verify_decomposition(b):
-        if not (r.parity == "odd" and r.primitive):
-            continue
-        l_val = l_value_closed(Character(group, r.chi_index)).value
-        predicted = b / (math.pi * group.phi) * abs(l_val) * abs(r.S_G)
+    for j, s_hat, l_val, s_g in spec.columns(Family.PRIMITIVE_ODD, "s_hat", "L1", "S_G"):
+        predicted = b / (math.pi * spec.group.phi) * abs(l_val) * abs(s_g)
         rows.append(
             EncodingRow(
-                chi_index=r.chi_index,
-                s_hat_abs=abs(r.s_hat),
+                chi_index=j,
+                s_hat_abs=abs(s_hat),
                 predicted=predicted,
-                residual=abs(abs(r.s_hat) - predicted),
+                residual=abs(abs(s_hat) - predicted),
             )
         )
     return rows
@@ -175,9 +171,9 @@ def class_number_check(b: int) -> ClassNumberRecord:
     """h(-b) from the Legendre L-value against the reduced-forms count."""
     if not is_odd_prime(b) or b % 4 != 3 or b <= 3:
         raise BadDiscriminant(f"need a prime b = 3 (mod 4), b > 3; got {b}")
-    group = build_unit_group(b, Level.MOD_B)
-    legendre = Character(group, (b - 1) // 2)
-    l_val = l_value_closed(legendre).value
+    # The Legendre symbol is chi_{(b-1)/2} mod b, odd since b = 3 (mod 4).
+    _, _, l1 = dual_transforms(build_unit_group(b, Level.MOD_B))
+    l_val = complex(l1[(b - 1) // 2])
     raw = math.sqrt(b) * abs(l_val) / math.pi
     h = round(raw)
     if abs(raw - h) > ROUNDING_GUARD:
@@ -194,7 +190,7 @@ def class_number_check(b: int) -> ClassNumberRecord:
 def series_family(b: int, cutoff: int) -> list[tuple[LValue, LValue]]:
     """(closed, series) pairs for every primitive odd chi mod b**2."""
     group = build_unit_group(b, Level.MOD_B_SQUARED)
-    out = []
-    for chi in enumerate_family(group, Family.PRIMITIVE_ODD):
-        out.append((l_value_closed(chi), l_value_series(chi, cutoff)))
-    return out
+    return [
+        (l_value_closed(chi), l_value_series(chi, cutoff))
+        for chi in enumerate_family(group, Family.PRIMITIVE_ODD)
+    ]

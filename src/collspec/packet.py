@@ -34,18 +34,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .characters import (
-    Character,
-    Family,
-    companion_mod_b,
-    enumerate_family,
-    gauss_sum,
-    lift_and_twist,
-)
-from .errors import NotPrimitiveOdd
-from .lvalues import l_value_closed
-from .spectrum import _require_primitive_odd, short_partial_sum
-from .unit_group import Level, build_unit_group
+import numpy as np
+
+from .characters import Character, Family, companion_mod_b
+from .errors import BaseOutOfRange, IncompatibleGroups, NotPrimitiveOdd, WrongModulus
+from .spectrum import dual_transforms, spectrum_of
 
 
 @dataclass(frozen=True)
@@ -59,46 +52,44 @@ class PacketRecord:
     twist_count: int  # always (b-3)/2
 
 
-def even_nontrivial(group) -> list[Character]:
-    """Even non-principal characters mod b, ascending index."""
-    return [chi for chi in enumerate_family(group, Family.EVEN) if not chi.is_principal]
+def _packet_records(b: int, js: np.ndarray) -> list[PacketRecord]:
+    """Records for the odd chi_j mod b**2, j in js, gathered from the arrays.
+
+    The twist of conj(chi_j) by xi_k mod b is chi_{(b*k - j) mod phi}; for
+    imprimitive j = b*k0 it is induced by chi_{(k - k0) mod (b-1)} on the
+    companion group, and conj(chi_j) by chi_{-k0}.
+    """
+    spec = spectrum_of(b)
+    phi, phi_b = spec.group.phi, b - 1
+    _, tau_b, l1_b = dual_transforms(companion_mod_b(spec.group))
+    primitive = spec.primitive[js]
+    k0 = js // b
+    l1 = np.where(primitive, spec.L1[-js % phi], l1_b[-k0 % phi_b])
+    twists = range(2, b - 1, 2)  # the even nontrivial xi_k mod b
+    total = np.zeros(len(js), dtype=complex)
+    for k in twists:
+        twisted = np.where(primitive, spec.L1[(b * k - js) % phi], l1_b[(k - k0) % phi_b])
+        total += tau_b[-k % phi_b] * twisted
+    delta = 1j / (b - 1) * total
+
+    columns = zip(js.tolist(), spec.P_short[js].tolist(), l1.tolist(), delta.tolist())
+    return [
+        PacketRecord(j, p_short, l1_j, delta_j, abs(delta_j) / abs(l1_j),
+                     math.cos(cmath.phase(delta_j) - cmath.phase(l1_j)), len(twists))
+        for j, p_short, l1_j, delta_j in columns
+    ]
 
 
 def packet_delta(chi: Character) -> PacketRecord:
     """Delta(chi) and its comparison against L(1, conj chi), chi odd mod b**2."""
     g = chi.group
-    imprimitive = g.q == g.b**2 and chi.is_odd and not chi.is_primitive()
-    if not imprimitive:
-        _require_primitive_odd(chi)
-    b = g.b
-    mod_b = companion_mod_b(g)
-    xis = even_nontrivial(mod_b)
-    if imprimitive:
-        # Work with the inducing chi_k mod b: same L-values, all primitive.
-        chibar = Character(mod_b, chi.index // b).conjugate()
-        twists = [Character(mod_b, (xi.index + chibar.index) % mod_b.phi) for xi in xis]
-    else:
-        chibar = chi.conjugate()
-        twists = [lift_and_twist(xi, chibar) for xi in xis]
-        if not all(t.is_odd and t.is_primitive() for t in twists):
-            raise NotPrimitiveOdd("twist lost primitivity or parity")
-    l1 = l_value_closed(chibar).value
-
-    terms = [
-        gauss_sum(xi.conjugate()) * l_value_closed(twist).value
-        for xi, twist in zip(xis, twists)
-    ]
-    delta = 1j / (b - 1) * sum(terms, 0j)
-
-    return PacketRecord(
-        chi_index=chi.index,
-        P_short=short_partial_sum(chi),
-        L1=l1,
-        delta=delta,
-        ratio=abs(delta) / abs(l1),
-        phase_cos=math.cos(cmath.phase(delta) - cmath.phase(l1)),
-        twist_count=len(terms),
-    )
+    if g.q != g.b**2:
+        raise WrongModulus("packets are defined for characters mod b**2")
+    if not chi.is_odd:
+        raise NotPrimitiveOdd(f"chi_{chi.index} mod {g.q} is even")
+    if g.g != spectrum_of(g.b).group.g:
+        raise IncompatibleGroups(f"packets index characters against the least root mod {g.q}")
+    return _packet_records(g.b, np.array([chi.index]))[0]
 
 
 @dataclass(frozen=True)
@@ -117,8 +108,7 @@ def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> list[Packet
     """Records for the primitive odd or all odd chi mod b**2, ascending index."""
     if family not in (Family.PRIMITIVE_ODD, Family.ODD):
         raise ValueError(f"packet families are primitive-odd and odd, not {family.value}")
-    group = build_unit_group(b, Level.MOD_B_SQUARED)
-    return [packet_delta(chi) for chi in enumerate_family(group, family)]
+    return _packet_records(b, spectrum_of(b).indices(family))
 
 
 def stats_from_records(b: int, records: list[PacketRecord]) -> PacketStats:
@@ -148,7 +138,7 @@ def packet_stats(b: int, family: Family = Family.PRIMITIVE_ODD) -> PacketStats:
     (b-1)/2 imprimitive ones.
     """
     if b < 5:
-        raise ValueError("packet statistics need b >= 5 (no even twists below)")
+        raise BaseOutOfRange("packet statistics need b >= 5 (no even twists below)")
     return stats_from_records(b, packet_records(b, family))
 
 

@@ -30,9 +30,9 @@ import numpy as np
 
 from .characters import Character, roots_of_unity
 from .collision import CollisionTable
-from .errors import CutoffBelowModulus
-from .spectrum import _table_for, verify_decomposition
-from .unit_group import Level, PrimeList, build_unit_group, sieve_primes
+from .errors import CutoffBelowModulus, ExponentOutOfRange
+from .spectrum import spectrum_of
+from .unit_group import PrimeList, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -88,22 +88,22 @@ def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> 
 def _record(b: int, s: float, cutoff: int, primes: PrimeList | None) -> PrimeSumRecord:
     if primes is None:
         primes = _shared_primes(cutoff)
-    group = build_unit_group(b, Level.MOD_B_SQUARED)
-    table = _table_for(b)
-    f_val = f_trunc(table, s, cutoff, primes)
+    spec = spectrum_of(b)
+    group = spec.group
+    f_val = f_trunc(spec.table, s, cutoff, primes)
 
     p_by_index: dict[int, complex] = {}
     expansion_all = 0j
     expansion_prim_odd = 0j
     bound_terms = []
-    for r in verify_decomposition(b):
-        chi = Character(group, r.chi_index)
-        p_val = p_trunc(chi, s, cutoff, primes)
-        expansion_all += r.s_hat * p_val
-        if r.parity == "odd" and r.primitive:
-            p_by_index[r.chi_index] = p_val
-            expansion_prim_odd += r.s_hat * p_val
-            bound_terms.append(abs(r.B1) * abs(r.S_G) * abs(p_val))
+    columns = zip(spec.s_hat.tolist(), spec.B1.tolist(), spec.S_G.tolist())
+    for j, (s_hat, b1, s_g) in enumerate(columns):
+        p_val = p_trunc(Character(group, j), s, cutoff, primes)
+        expansion_all += s_hat * p_val
+        if spec.odd[j] and spec.primitive[j]:
+            p_by_index[j] = p_val
+            expansion_prim_odd += s_hat * p_val
+            bound_terms.append(abs(b1) * abs(s_g) * abs(p_val))
 
     bound_rhs = math.fsum(bound_terms) / group.phi
     bound_lhs = abs(f_val)
@@ -126,7 +126,7 @@ def verify_expansion(
 ) -> PrimeSumRecord:
     """Check F0 = sum s0_hat * P term by term at the given truncation."""
     if s <= 0:
-        raise ValueError(f"need s > 0, got {s}")
+        raise ExponentOutOfRange(f"need s > 0, got {s}")
     return _record(b, s, cutoff, primes)
 
 
@@ -135,5 +135,5 @@ def cross_moment_bound(
 ) -> PrimeSumRecord:
     """Triangle-inequality bound |F0| <= (1/phi) sum |B1||S_G||P|."""
     if s <= 0.5:
-        raise ValueError(f"need s > 0.5, got {s}")
+        raise ExponentOutOfRange(f"need s > 0.5, got {s}")
     return _record(b, s, cutoff, primes)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LimitTooLarge, NotOddPrime
+from .errors import BaseOutOfRange, LimitTooLarge, NotOddPrime
 
 # Supported bases.  Trial division is a perfectly adequate primality
 # check at this scale, and the dlog table enumeration stays desk-sized.
@@ -123,7 +123,7 @@ def build_unit_group(b: int, level: Level = Level.MOD_B_SQUARED) -> UnitGroup:
     if not isinstance(b, int) or isinstance(b, bool) or not is_odd_prime(b):
         raise NotOddPrime(f"base must be an odd prime, got {b!r}")
     if b > MAX_BASE:
-        raise ValueError(f"base {b} exceeds the supported bound {MAX_BASE}")
+        raise BaseOutOfRange(f"base {b} exceeds the supported bound {MAX_BASE}")
     if level is Level.MOD_B:
         q, phi = b, b - 1
     else:

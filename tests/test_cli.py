@@ -32,6 +32,24 @@ def test_non_prime_base_is_usage_error(capsys):
     assert "NotOddPrime" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "decompose", "--base", "10007"),  # above MAX_BASE
+        ("table1", "--base", "3"),  # packet statistics need b >= 5
+        ("lvalue", "--base", "5", "--cutoff", "100"),  # series needs q^2 terms
+        ("cross-moment", "--base", "5", "--s", "0.3"),  # bound needs s > 0.5
+    ],
+)
+def test_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_bad_tol_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "decompose", "--base", "5", "--tol", "0"])

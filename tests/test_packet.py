@@ -153,10 +153,19 @@ def test_imprimitive_l1_matches_series(b):
         assert abs(r.L1 - series.value) <= series.tail_bound + 1e-9
 
 
-@pytest.mark.parametrize("b", [5, 7])
-def test_imprimitive_delta_matches_cosine_series(b):
+@pytest.mark.parametrize(
+    "b,primitive",
+    [
+        pytest.param(5, False, id="5"),
+        pytest.param(7, False, id="7"),
+        pytest.param(5, True, id="5-primitive"),
+        pytest.param(7, True, id="7-primitive"),
+    ],
+)
+def test_imprimitive_delta_matches_cosine_series(b, primitive):
     g = build_unit_group(b, Level.MOD_B_SQUARED)
-    for r in imprimitive_records(b):
+    records = packet_records(b) if primitive else imprimitive_records(b)
+    for r in records:
         alt, tail = cosine_series_delta(Character(g, r.chi_index), r.L1)
         assert abs(alt - r.delta) <= tail + 1e-9
 

@@ -13,6 +13,7 @@ from collspec.prime_sums import (
     p_trunc,
     verify_expansion,
 )
+from collspec.spectrum import spectrum_of
 from collspec.unit_group import Level, build_unit_group, sieve_primes
 
 
@@ -93,3 +94,10 @@ def test_margin_nonnegative(b, s):
     rec = cross_moment_bound(b, s, 20_000)
     assert rec.margin >= -1e-10
     assert rec.bound_lhs == abs(rec.F_trunc)
+
+
+def test_cross_moment_builds_the_spectrum_once():
+    spectrum_of.cache_clear()
+    for s in (0.8, 1.0, 1.2, 1.5):
+        cross_moment_bound(7, s, 5000)
+    assert spectrum_of.cache_info().misses == 1

@@ -6,16 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from collspec.characters import Character, Family, enumerate_family
+from collspec.characters import Character, Family, companion_mod_b, enumerate_family, gauss_sum
 from collspec.collision import collision_invariant
 from collspec.errors import NotPrimitiveOdd, WrongModulus
+from collspec.lvalues import l_value_closed
 from collspec.spectrum import (
     DOUBLING_VERIFIED_MAX,
     bernoulli_b1,
     centered_square_sum,
     diagonal_sum,
+    dual_transforms,
     fourier_coefficient,
     short_partial_sum,
+    spectrum_of,
     verify_base5_identities,
     verify_decomposition,
     verify_moment,
@@ -23,6 +26,7 @@ from collspec.spectrum import (
 )
 from collspec.unit_group import Level, build_unit_group
 
+SMALL_BASES = (3, 5, 7, 11, 13)
 G9 = build_unit_group(3, Level.MOD_B_SQUARED)
 G3 = build_unit_group(3, Level.MOD_B)
 T9 = collision_invariant(G9)
@@ -188,3 +192,47 @@ def test_beyond_doubling_range_is_reported_not_gated():
     assert rep.fourth_moment is None
     assert rep.max_sqrt5_residual is None
     assert len(rep.rows) == (17 - 1) ** 2 // 2
+
+
+# ====== the Spectrum arrays against the per-character direct sums ======
+
+
+@pytest.mark.parametrize("b", SMALL_BASES)
+def test_spectrum_arrays_match_direct_sums(b):
+    spec = spectrum_of(b)
+    for chi in enumerate_family(spec.group, Family.ALL):
+        j = chi.index
+        b1, tau = bernoulli_b1(chi), gauss_sum(chi)
+        if chi.is_odd and chi.is_primitive():
+            l1 = l_value_closed(chi).value
+        else:
+            l1 = 1j * math.pi * tau * b1 / spec.group.q  # the formula, off its domain
+        assert abs(spec.s_hat[j] - fourier_coefficient(spec.table, chi)) < 1e-12
+        assert abs(spec.B1[j] - b1) < 1e-12
+        assert abs(spec.tau[j] - tau) < 1e-12
+        assert abs(spec.L1[j] - l1) < 1e-12
+        # the short sums are accumulated term by term in the direct order
+        assert spec.S_G[j] == diagonal_sum(chi)
+        assert spec.P_short[j] == short_partial_sum(chi)
+        assert spec.odd[j] == chi.is_odd
+        assert spec.primitive[j] == chi.is_primitive()
+
+
+@pytest.mark.parametrize("b", SMALL_BASES)
+def test_companion_transforms_match_direct_sums(b):
+    group = companion_mod_b(spectrum_of(b).group)
+    b1, tau, l1 = dual_transforms(group)
+    for chi in enumerate_family(group, Family.ALL):
+        j = chi.index
+        assert abs(b1[j] - bernoulli_b1(chi)) < 1e-12
+        assert abs(tau[j] - gauss_sum(chi)) < 1e-12
+        if chi.is_odd:
+            assert abs(l1[j] - l_value_closed(chi).value) < 1e-12
+
+
+@pytest.mark.parametrize("b", SMALL_BASES)
+def test_spectrum_families_match_enumeration(b):
+    spec = spectrum_of(b)
+    for family in Family:
+        expected = [chi.index for chi in enumerate_family(spec.group, family)]
+        assert spec.indices(family).tolist() == expected
