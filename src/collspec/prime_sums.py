@@ -17,7 +17,9 @@ then gives the cross-moment bound
     |F0(s)| <= (1/phi) * sum |B1| |S_G| |P(s, chi)|,
 
 whose margin is reported for (b, s, N) grids.  Sums run over primes in
-ascending order; p^{-s} is evaluated as exp(-s ln p).
+ascending order as numpy pairwise sums, not BLAS dots, whose threads make
+the last digits and the run time follow the thread count and the load;
+p^{-s} is evaluated as exp(-s ln p).
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import Character, roots_of_unity
+from .characters import Character, Family, roots_of_unity
 from .collision import CollisionTable
 from .errors import CutoffBelowModulus, ExponentOutOfRange
 from .spectrum import spectrum_of
-from .unit_group import PrimeList, sieve_primes
+from .unit_group import PrimeList, UnitGroup, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -64,25 +66,31 @@ def _primes_in_range(primes: PrimeList, m: int, cutoff: int) -> np.ndarray:
     return arr[lo:hi]
 
 
+@lru_cache(maxsize=1)
+def _prime_terms(group: UnitGroup, s: float, cutoff: int,
+                 primes: PrimeList) -> tuple[np.ndarray, np.ndarray]:
+    """p^{-s} and dlog p over q < p <= cutoff, shared by the phi characters of a record."""
+    p_arr = _primes_in_range(primes, group.q, cutoff)
+    terms = np.exp(-s * np.log(p_arr.astype(float))), group.dlog_by_residue[p_arr % group.q]
+    for arr in terms:
+        arr.flags.writeable = False
+    return terms
+
+
 def p_trunc(chi: Character, s: float, cutoff: int, primes: PrimeList) -> complex:
     """P(s, chi) = sum over m < p <= cutoff of chi(p) p^{-s}."""
     group = chi.group
-    p_arr = _primes_in_range(primes, group.q, cutoff)
-    if p_arr.size == 0:
-        return 0j
-    weights = np.exp(-s * np.log(p_arr.astype(float)))
-    exponents = (chi.index * group.dlog_by_residue[p_arr % group.q]) % group.phi
-    vals = roots_of_unity(group.phi)[exponents]
-    return complex(np.dot(weights, vals))
+    weights, dlogs = _prime_terms(group, s, cutoff, primes)
+    # chi(g^t) = e(index * t / phi), tabulated over t = 0..phi-1
+    phases = roots_of_unity(group.phi)[(chi.index * np.arange(group.phi)) % group.phi]
+    return complex((weights * phases.real[dlogs]).sum(), (weights * phases.imag[dlogs]).sum())
 
 
 def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> float:
     """F0(s) = sum over m < p <= cutoff of S0(p mod m) p^{-s}."""
     p_arr = _primes_in_range(primes, table.m, cutoff)
-    if p_arr.size == 0:
-        return 0.0
     weights = np.exp(-s * np.log(p_arr.astype(float)))
-    return float(np.dot(weights, table.s_centered_by_residue[p_arr % table.m]))
+    return float((weights * table.s_centered_by_residue[p_arr % table.m]).sum())
 
 
 def _record(b: int, s: float, cutoff: int, primes: PrimeList | None) -> PrimeSumRecord:
@@ -92,19 +100,11 @@ def _record(b: int, s: float, cutoff: int, primes: PrimeList | None) -> PrimeSum
     group = spec.group
     f_val = f_trunc(spec.table, s, cutoff, primes)
 
-    p_by_index: dict[int, complex] = {}
-    expansion_all = 0j
-    expansion_prim_odd = 0j
-    bound_terms = []
-    columns = zip(spec.s_hat.tolist(), spec.B1.tolist(), spec.S_G.tolist())
-    for j, (s_hat, b1, s_g) in enumerate(columns):
-        p_val = p_trunc(Character(group, j), s, cutoff, primes)
-        expansion_all += s_hat * p_val
-        if spec.odd[j] and spec.primitive[j]:
-            p_by_index[j] = p_val
-            expansion_prim_odd += s_hat * p_val
-            bound_terms.append(abs(b1) * abs(s_g) * abs(p_val))
-
+    p_val = [p_trunc(Character(group, j), s, cutoff, primes) for j in range(group.phi)]
+    expansion_all = sum((h * p for h, p in zip(spec.s_hat.tolist(), p_val)), 0j)
+    prim_odd = spec.columns(Family.PRIMITIVE_ODD, "s_hat", "B1", "S_G")
+    expansion_prim_odd = sum((h * p_val[j] for j, h, _, _ in prim_odd), 0j)
+    bound_terms = (abs(b1) * abs(s_g) * abs(p_val[j]) for j, _, b1, s_g in prim_odd)
     bound_rhs = math.fsum(bound_terms) / group.phi
     bound_lhs = abs(f_val)
     return PrimeSumRecord(
@@ -112,7 +112,7 @@ def _record(b: int, s: float, cutoff: int, primes: PrimeList | None) -> PrimeSum
         s=s,
         cutoff=cutoff,
         F_trunc=f_val,
-        P_trunc=p_by_index,
+        P_trunc={j: p_val[j] for j, *_ in prim_odd},
         expansion_residual=abs(f_val - expansion_prim_odd),
         restriction_residual=abs(expansion_all - expansion_prim_odd),
         bound_lhs=bound_lhs,

@@ -8,6 +8,7 @@ from collspec.characters import Character, Family, enumerate_family
 from collspec.collision import collision_invariant
 from collspec.errors import CutoffBelowModulus
 from collspec.prime_sums import (
+    _prime_terms,
     cross_moment_bound,
     f_trunc,
     p_trunc,
@@ -101,3 +102,12 @@ def test_cross_moment_builds_the_spectrum_once():
     for s in (0.8, 1.0, 1.2, 1.5):
         cross_moment_bound(7, s, 5000)
     assert spectrum_of.cache_info().misses == 1
+
+
+def test_record_computes_prime_terms_once_per_s():
+    # the phi = 42 characters of one record share the weights and dlogs
+    _prime_terms.cache_clear()
+    for s in (0.8, 1.2):
+        verify_expansion(7, s, 5000)
+    info = _prime_terms.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * 41)
