@@ -2,9 +2,10 @@
 character spectrum: closed-form Fourier coefficients, L(1) values, packet
 statistics, and truncated sums over primes.
 
-Everything exact stays exact (integers, Fractions) until a single, explicit
-rational-to-float step; every floating-point identity carries a residual
-that a caller can gate against a tolerance.
+Everything exact stays exact (int64 arrays, rationals as integer numerators
+over the common denominator b) until a single, explicit rational-to-float
+step; every floating-point identity carries a residual that a caller can
+gate against a tolerance.
 """
 
 from .collision import (
@@ -12,7 +13,6 @@ from .collision import (
     DiagonalSet,
     collision_invariant,
     diagonal_set,
-    write_collision_csv,
 )
 from .characters import (
     Character,
@@ -116,5 +116,4 @@ __all__ = [
     "verify_expansion",
     "verify_moment",
     "verify_proof_steps",
-    "write_collision_csv",
 ]

@@ -56,7 +56,7 @@ def roots_of_unity(phi: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _unit_phases(group: UnitGroup) -> np.ndarray:
     """Additive twist e(a/q) over ascending units; used by Gauss sums."""
-    w = np.exp((2j * np.pi / group.q) * group.unit_array)
+    w = np.exp((2j * np.pi / group.q) * group.units)
     w.flags.writeable = False
     return w
 
@@ -86,9 +86,8 @@ class Character:
         return not self.is_odd
 
     def value(self, a: int) -> complex:
-        a %= self.group.q
-        t = self.group.dlog.get(a)
-        if t is None:
+        t = int(self.group.dlog[a % self.group.q])
+        if t < 0:
             return 0j
         return complex(roots_of_unity(self.group.phi)[self.index * t % self.group.phi])
 
@@ -99,7 +98,7 @@ class Character:
     def values_by_residue(self) -> np.ndarray:
         """Length-q value table (zeros off the units)."""
         vals = np.zeros(self.group.q, dtype=complex)
-        vals[self.group.unit_array] = self.values_on_units()
+        vals[self.group.units] = self.values_on_units()
         return vals
 
     def conjugate(self) -> "Character":
@@ -116,16 +115,14 @@ class Character:
         g = self.group
         if g.q == g.b:
             raise WrongModulus("primitivity test is defined here only mod b**2")
-        return any(
-            self.index * g.dlog[(1 + t * g.b) % g.q] % g.phi != 0
-            for t in range(1, g.b)
-        )
+        t = g.dlog[1 + np.arange(1, g.b) * g.b]
+        return bool(np.any(self.index * t % g.phi != 0))
 
 
 @lru_cache(maxsize=512)
 def _values_on_units(chi: Character) -> np.ndarray:
     g = chi.group
-    vals = roots_of_unity(g.phi)[(chi.index * g.dlog_by_unit) % g.phi]
+    vals = roots_of_unity(g.phi)[(chi.index * g.dlog[g.units]) % g.phi]
     vals.flags.writeable = False
     return vals
 

@@ -33,6 +33,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import collision, lvalues, packet, prime_sums, spectrum
 from .characters import Character, Family, enumerate_family
 from .errors import VerificationError, NotOddPrime
@@ -384,20 +386,16 @@ def _cmd_dump_collision(cfg: RunConfig) -> Report:
     b = cfg.bases[0]
     group = build_unit_group(b, Level.MOD_B_SQUARED)
     table = collision.collision_invariant(group)
-    rows = []
-    for a in sorted(table.S):
-        s0 = table.S_centered[a]
-        rows.append(
-            {"a": a, "S": table.S[a],
-             "S_centered_num": s0.numerator, "S_centered_den": s0.denominator}
-        )
-    coset_ok = all(
-        sum(s0 for a, s0 in table.S_centered.items() if a % b == k) == 0
-        for k in range(1, b)
-    )
-    anti_ok = all(
-        table.S_centered[table.m - a] == -s0 for a, s0 in table.S_centered.items()
-    )
+    # S0 = S0_num / b, printed in lowest terms as Fraction would print it.
+    g = np.gcd(table.S0_num, b)
+    rows = [
+        {"a": a, "S": s, "S_centered_num": num, "S_centered_den": den}
+        for a, s, num, den in zip(table.units.tolist(), table.S.tolist(),
+                                  (table.S0_num // g).tolist(), (b // g).tolist())
+    ]
+    coset_ok = not collision.coset_sums(b, table.units, table.S0_num).any()
+    # a -> m - a reverses the ascending units.
+    anti_ok = np.array_equal(table.S0_num[::-1], -table.S0_num)
     structural = 0.0 if (coset_ok and anti_ok) else 1.0
     return Report(
         cfg,

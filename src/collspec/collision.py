@@ -8,19 +8,16 @@ agree:
     d_n(a) = floor((n+1)*a/m) - floor(n*a/m),
     S(a)   = -1 - floor(a/b) + sum_{n in G} d_n(a).
 
-Centering subtracts the mean of S over the coset a = k (mod b).  Both
-the coset means and the centered values S0 are exact rationals with
-denominator dividing b, so the coset sums of S0 vanish identically and
-the antisymmetry S0(m - a) = -S0(a) is asserted with no float tolerance.
+Centering subtracts the mean of S over the coset a = k (mod b).  Every
+coset mean and every centered value S0 is a rational over the single
+denominator b, so the table keeps the integer numerators
+S0_num = b*S0 and no rational objects: the coset sums of S0 vanish and
+the antisymmetry S0(m - a) = -S0(a) holds in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from typing import IO
 
 import numpy as np
 
@@ -46,54 +43,29 @@ def diagonal_set_by_scan(b: int) -> tuple[int, ...]:
     return tuple(n for n in range(b * b) if n // b == n % b)
 
 
-def slice_count(n: int, a: int, m: int) -> int:
-    """d_n(a) = floor((n+1)a/m) - floor(na/m)."""
-    d = (n + 1) * a // m - n * a // m
-    assert 0 <= d <= a, "slice count escaped its coarse bounds"
-    return d
+def coset_sums(b: int, units: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Exact int64 sums of values over the cosets a = k (mod b), indexed by k."""
+    sums = np.zeros(b, dtype=np.int64)
+    np.add.at(sums, units % b, values)
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
 class CollisionTable:
     """S and its centered companion over the units mod m = b**2.
 
-    S is integer valued; S_centered and class_means are exact Fractions
-    with denominator dividing b.  Keys of S and S_centered are the units
-    ascending; class_means is keyed by the coset label k = a mod b.
+    units (ascending), S and S0_num are aligned read-only int64 arrays;
+    the centered value is S0 = S0_num / b exactly.  class_sums[k] is the
+    sum of S over the coset a = k (mod b), so the coset mean is
+    class_sums[k] / b and b*S = S0_num + class_sums[units % b].
     """
 
     m: int
     b: int
-    S: dict[int, int]
-    S_centered: dict[int, Fraction]
-    class_means: dict[int, Fraction]
-
-    @cached_property
-    def unit_array(self) -> np.ndarray:
-        arr = np.array(sorted(self.S), dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def s_array(self) -> np.ndarray:
-        arr = np.array([self.S[a] for a in self.unit_array], dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def s_centered_float(self) -> np.ndarray:
-        """float(S0) aligned with unit_array; the one rational-to-float step."""
-        arr = np.array([float(self.S_centered[a]) for a in self.unit_array])
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def s_centered_by_residue(self) -> np.ndarray:
-        """Length-m float lookup of S0, zero off the units."""
-        arr = np.zeros(self.m)
-        arr[self.unit_array] = self.s_centered_float
-        arr.flags.writeable = False
-        return arr
+    units: np.ndarray
+    S: np.ndarray
+    S0_num: np.ndarray
+    class_sums: np.ndarray
 
 
 def collision_invariant(group: UnitGroup) -> CollisionTable:
@@ -101,29 +73,16 @@ def collision_invariant(group: UnitGroup) -> CollisionTable:
     if group.q != group.b**2:
         raise WrongModulus("the collision invariant lives mod b**2")
     b, m = group.b, group.q
-    units = group.unit_array
-    diag = np.array(diagonal_set(b).members, dtype=np.int64)
+    units = group.units
 
-    # All slices at once: row n, column a.
-    prods_hi = (diag[:, None] + 1) * units[None, :]
-    prods_lo = diag[:, None] * units[None, :]
-    slices = prods_hi // m - prods_lo // m
-    s_vals = -1 - units // b + slices.sum(axis=0)
+    # One diagonal slice at a time keeps the memory O(phi); every product
+    # stays below m**2 <= MAX_BASE**4 < 2**63.
+    s = -1 - units // b
+    for n in diagonal_set(b).members:
+        s += (n + 1) * units // m - n * units // m
 
-    class_sums = {k: 0 for k in range(1, b)}
-    for a, s in zip(units.tolist(), s_vals.tolist()):
-        class_sums[a % b] += s
-    class_means = {k: Fraction(class_sums[k], b) for k in range(1, b)}
-
-    S = dict(zip(units.tolist(), s_vals.tolist()))
-    S_centered = {a: Fraction(b * s - class_sums[a % b], b) for a, s in S.items()}
-    return CollisionTable(m=m, b=b, S=S, S_centered=S_centered, class_means=class_means)
-
-
-def write_collision_csv(table: CollisionTable, fp: IO[str]) -> None:
-    """Dump (a, S, S_centered_num, S_centered_den) rows, units ascending."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["a", "S", "S_centered_num", "S_centered_den"])
-    for a in sorted(table.S):
-        s0 = table.S_centered[a]
-        writer.writerow([a, table.S[a], s0.numerator, s0.denominator])
+    class_sums = coset_sums(b, units, s)
+    s0_num = b * s - class_sums[units % b]
+    for arr in (s, s0_num, class_sums):
+        arr.flags.writeable = False
+    return CollisionTable(m=m, b=b, units=units, S=s, S0_num=s0_num, class_sums=class_sums)

@@ -71,7 +71,7 @@ def _prime_terms(group: UnitGroup, s: float, cutoff: int,
                  primes: PrimeList) -> tuple[np.ndarray, np.ndarray]:
     """p^{-s} and dlog p over q < p <= cutoff, shared by the phi characters of a record."""
     p_arr = _primes_in_range(primes, group.q, cutoff)
-    terms = np.exp(-s * np.log(p_arr.astype(float))), group.dlog_by_residue[p_arr % group.q]
+    terms = np.exp(-s * np.log(p_arr.astype(float))), group.dlog[p_arr % group.q]
     for arr in terms:
         arr.flags.writeable = False
     return terms
@@ -90,7 +90,9 @@ def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> 
     """F0(s) = sum over m < p <= cutoff of S0(p mod m) p^{-s}."""
     p_arr = _primes_in_range(primes, table.m, cutoff)
     weights = np.exp(-s * np.log(p_arr.astype(float)))
-    return float((weights * table.s_centered_by_residue[p_arr % table.m]).sum())
+    s0 = np.zeros(table.m)
+    s0[table.units] = table.S0_num / table.b
+    return float((weights * s0[p_arr % table.m]).sum())
 
 
 def _record(b: int, s: float, cutoff: int, primes: PrimeList | None) -> PrimeSumRecord:

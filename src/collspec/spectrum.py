@@ -77,7 +77,7 @@ def fourier_coefficient(table: CollisionTable, chi: Character) -> complex:
     if chi.group.q != table.m:
         raise WrongModulus("table and character moduli differ")
     vals = np.conj(chi.values_on_units())
-    return complex(np.dot(table.s_centered_float, vals)) / chi.group.phi
+    return complex(np.dot(table.S0_num / table.b, vals)) / chi.group.phi
 
 
 def bernoulli_b1(chi: Character) -> complex:
@@ -87,7 +87,7 @@ def bernoulli_b1(chi: Character) -> complex:
     modulus.
     """
     g = chi.group
-    weights = g.unit_array.astype(float)
+    weights = g.units.astype(float)
     return complex(np.dot(weights, np.conj(chi.values_on_units()))) / g.q
 
 
@@ -124,7 +124,7 @@ def _require_primitive_odd(chi: Character) -> None:
 def _by_dlog(group: UnitGroup, values: np.ndarray) -> np.ndarray:
     """Reorder values aligned with ascending units to the order a = g**t."""
     out = np.empty_like(values)
-    out[group.dlog_by_unit] = values
+    out[group.dlog[group.units]] = values
     return out
 
 
@@ -136,7 +136,7 @@ def dual_transforms(group: UnitGroup) -> tuple[np.ndarray, np.ndarray, np.ndarra
     L1 = i*pi*tau*B1/q.  L1 is L(1, chi_j) where chi_j is odd and
     primitive; elsewhere it is only the value of the formula.
     """
-    powers = _by_dlog(group, group.unit_array.astype(float))
+    powers = _by_dlog(group, group.units.astype(float))
     b1 = np.fft.fft(powers) / group.q
     tau = group.phi * np.fft.ifft(_by_dlog(group, _unit_phases(group)))
     return b1, tau, 1j * np.pi * tau * b1 / group.q
@@ -144,7 +144,7 @@ def dual_transforms(group: UnitGroup) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _conj_values(group: UnitGroup, n: int) -> np.ndarray:
     """conj(chi_j)(n) for every j: the value chi_{-j}.value(n) looks up."""
-    t = group.dlog_by_residue[n % group.q]
+    t = group.dlog[n % group.q]
     if t < 0:
         return np.zeros(group.phi, dtype=complex)
     return roots_of_unity(group.phi)[-np.arange(group.phi) % group.phi * t % group.phi]
@@ -198,7 +198,7 @@ def spectrum_of(b: int) -> Spectrum:
     p_short = np.zeros(group.phi, dtype=complex)
     for k in range(1, b):
         p_short += _conj_values(group, k)
-    s_hat = np.fft.fft(_by_dlog(group, table.s_centered_float)) / group.phi
+    s_hat = np.fft.fft(_by_dlog(group, table.S0_num / b)) / group.phi
     arrays = dict(
         s_hat=s_hat, B1=b1, S_G=s_g, P_short=p_short, tau=tau, L1=l1,
         odd=j % 2 == 1, primitive=j % b != 0,
@@ -251,7 +251,7 @@ class ProofStepReport:
 @lru_cache(maxsize=4)
 def _fractional_matrix(group: UnitGroup) -> np.ndarray:
     """{n*a/m} for all unit pairs (n, a); exact small rationals in float."""
-    u = group.unit_array
+    u = group.units
     mat = (u[:, None] * u[None, :] % group.q) / group.q
     mat.flags.writeable = False
     return mat
@@ -265,11 +265,11 @@ def verify_proof_steps(b: int, chi: Character) -> ProofStepReport:
         raise WrongModulus("proof steps run on the mod-b**2 group")
     m, phi = group.q, group.phi
     table = spectrum_of(b).table
-    units = group.unit_array
+    units = group.units
     chibar = np.conj(chi.values_on_units())
     b1 = bernoulli_b1(chi)
 
-    means = np.array([float(table.class_means[a % b]) for a in units.tolist()])
+    means = table.class_sums[units % b] / b
     centering = abs(complex(np.dot(means, chibar)))
     constant = abs(complex(chibar.sum()))
     fractional = abs(complex(np.dot((units % b) / b, chibar)))
@@ -297,7 +297,7 @@ def verify_proof_steps(b: int, chi: Character) -> ProofStepReport:
     top = abs(complex(np.dot(d_top.astype(float), chibar)))
 
     s_g = diagonal_sum(chi)
-    s_vals = table.s_array.astype(float)
+    s_vals = table.S.astype(float)
     total = abs(complex(np.dot(s_vals, chibar)) + b1 * s_g.conjugate())
 
     return ProofStepReport(
@@ -332,8 +332,8 @@ class MomentReport:
 
 
 def centered_square_sum(table: CollisionTable) -> Fraction:
-    """sum_a S0(a)^2 as an exact rational."""
-    return sum((s0 * s0 for s0 in table.S_centered.values()), Fraction(0))
+    """sum_a S0(a)^2 as an exact rational; Python ints, since int64 would overflow."""
+    return Fraction(sum(x * x for x in table.S0_num.tolist()), table.b**2)
 
 
 def verify_moment(b: int) -> MomentReport:

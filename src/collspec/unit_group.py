@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -73,49 +72,36 @@ def _is_primitive_root(x: int, q: int, phi: int, phi_factors: tuple[int, ...]) -
 class UnitGroup:
     """Multiplicative group of Z/qZ with a fixed primitive root.
 
-    dlog maps each unit to its exponent: a = g**dlog[a] (mod q).
-    Instances are immutable; the derived numpy views are built once on
-    first use and marked read-only.
+    units holds the units ascending; dlog is the length-q exponent
+    lookup, a = g**dlog[a] (mod q) on the units and -1 elsewhere, so
+    dlog[units] gives the exponents aligned with units.  Both are
+    read-only int64 arrays.
     """
 
     q: int
     b: int
     phi: int
     g: int
-    dlog: dict[int, int]
-    units: tuple[int, ...]
-
-    @cached_property
-    def unit_array(self) -> np.ndarray:
-        arr = np.array(self.units, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def dlog_by_unit(self) -> np.ndarray:
-        """Exponents aligned with unit_array (units ascending)."""
-        arr = np.array([self.dlog[a] for a in self.units], dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def dlog_by_residue(self) -> np.ndarray:
-        """Length-q exponent lookup; -1 marks non-units."""
-        arr = np.full(self.q, -1, dtype=np.int64)
-        arr[self.unit_array] = self.dlog_by_unit
-        arr.flags.writeable = False
-        return arr
+    units: np.ndarray
+    dlog: np.ndarray
 
 
 def _group_with_root(q: int, b: int, phi: int, g: int) -> UnitGroup:
-    dlog: dict[int, int] = {}
-    x = 1
-    for t in range(phi):
-        dlog[x] = t
-        x = x * g % q
-    if x != 1 or len(dlog) != phi:
+    # powers[t] = g**t mod q, filled by doubling the known prefix; every
+    # product stays below q**2 <= MAX_BASE**4 < 2**63.
+    powers = np.ones(phi, dtype=np.int64)
+    n = 1
+    while n < phi:
+        k = min(n, phi - n)
+        powers[n : n + k] = powers[:k] * pow(g, n, q) % q
+        n += k
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[powers] = np.arange(phi)
+    units = np.flatnonzero(dlog >= 0)
+    if pow(g, phi, q) != 1 or units.size != phi:
         raise ValueError(f"{g} is not a primitive root mod {q}")
-    return UnitGroup(q=q, b=b, phi=phi, g=g, dlog=dlog, units=tuple(sorted(dlog)))
+    dlog.flags.writeable = units.flags.writeable = False
+    return UnitGroup(q=q, b=b, phi=phi, g=g, units=units, dlog=dlog)
 
 
 def build_unit_group(b: int, level: Level = Level.MOD_B_SQUARED) -> UnitGroup:

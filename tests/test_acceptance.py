@@ -191,10 +191,11 @@ def test_criterion_11_exact_structure():
         table = collision_invariant(build_unit_group(b, Level.MOD_B_SQUARED))
         m = table.m
         for k in range(1, b):
-            if sum(s0 for a, s0 in table.S_centered.items() if a % b == k) != 0:
+            if table.S0_num[table.units % b == k].sum() != 0:
                 ok = False
-        for a, s0 in table.S_centered.items():
-            if table.S_centered[m - a] != -s0:
+        s0 = dict(zip(table.units.tolist(), table.S0_num.tolist()))
+        for a, num in s0.items():
+            if s0[m - a] != -num:
                 ok = False
         if len(diagonal_set(b).members) != b:
             ok = False

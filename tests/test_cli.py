@@ -97,6 +97,7 @@ def test_dump_collision_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "a,S,S_centered_num,S_centered_den"
     assert lines[1] == "1,0,2,3"
+    assert lines[4] == "5,-1,-2,3"
     assert len(lines) == 7
 
 

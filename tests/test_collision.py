@@ -1,16 +1,14 @@
-"""Exact integer/rational layer: S, the centering, and the diagonal set."""
+"""Exact integer layer: S, the centering numerators, and the diagonal set."""
 
-import io
-from fractions import Fraction
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from collspec.collision import (
     collision_invariant,
     diagonal_set,
     diagonal_set_by_scan,
-    slice_count,
-    write_collision_csv,
 )
 from collspec.errors import WrongModulus
 from collspec.unit_group import Level, build_unit_group
@@ -37,25 +35,15 @@ def test_diagonal_set_matches_digit_scan(b):
     assert diagonal_set(b).members == diagonal_set_by_scan(b)
 
 
-def test_slice_count_examples():
-    # d_n(a) = floor((n+1)a/m) - floor(na/m)
-    assert slice_count(0, 5, 9) == 0
-    assert slice_count(4, 5, 9) == 25 // 9 - 20 // 9 == 0
-    assert slice_count(8, 5, 9) == 45 // 9 - 40 // 9 == 1
-    assert slice_count(4, 8, 9) == 1
-
-
 def test_hand_table_b3():
     t = table(3)
-    assert t.S == {1: 0, 2: 1, 4: 0, 5: -1, 7: -2, 8: -1}
-    assert t.S_centered == {
-        1: Fraction(2, 3),
-        2: Fraction(4, 3),
-        4: Fraction(2, 3),
-        5: Fraction(-2, 3),
-        7: Fraction(-4, 3),
-        8: Fraction(-2, 3),
-    }
+    assert t.units.tolist() == [1, 2, 4, 5, 7, 8]
+    assert t.S.tolist() == [0, 1, 0, -1, -2, -1]
+    # S0 = S0_num / 3: 2/3, 4/3, 2/3, -2/3, -4/3, -2/3
+    assert t.S0_num.tolist() == [2, 4, 2, -2, -4, -2]
+    assert t.class_sums.tolist() == [0, -2, -1]
+    for arr in (t.units, t.S, t.S0_num, t.class_sums):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 def test_rejects_mod_b_group():
@@ -69,48 +57,57 @@ def test_direct_sum_oracle(b):
     t = table(b)
     m = b * b
     diag = diagonal_set(b).members
-    for a in list(t.S)[:: max(1, len(t.S) // 10)]:
+    pairs = list(zip(t.units.tolist(), t.S.tolist()))
+    for a, s in pairs[:: max(1, len(pairs) // 10)]:
         expected = -1 - a // b + sum(
             (n + 1) * a // m - n * a // m for n in diag
         )
-        assert t.S[a] == expected
+        assert s == expected
 
 
 @pytest.mark.parametrize("b", PRIMES_TO_97)
 def test_centered_values_exact(b):
     t = table(b)
+    # S0 = S0_num / b with integer numerators: every denominator divides b
+    assert t.S0_num.dtype == np.int64
     for k in range(1, b):
-        assert sum(s0 for a, s0 in t.S_centered.items() if a % b == k) == 0
-    assert all(b % s0.denominator == 0 for s0 in t.S_centered.values())
+        assert t.S0_num[t.units % b == k].sum() == 0
 
 
 @pytest.mark.parametrize("b", PRIMES_TO_97)
 def test_antisymmetry_exact(b):
     t = table(b)
-    for a, s0 in t.S_centered.items():
-        assert t.S_centered[t.m - a] == -s0
+    s0 = dict(zip(t.units.tolist(), t.S0_num.tolist()))
+    for a, num in s0.items():
+        assert s0[t.m - a] == -num
+    # so the ascending units read backwards are m - a
+    assert np.array_equal(t.units[::-1], t.m - t.units)
 
 
 @pytest.mark.parametrize("b", [3, 5, 13])
 def test_centering_recovers_s(b):
     t = table(b)
-    for a in t.S:
-        assert Fraction(t.S[a]) == t.S_centered[a] + t.class_means[a % b]
+    assert np.array_equal(b * t.S, t.S0_num + t.class_sums[t.units % b])
 
 
 def test_class_means_structure():
     t = table(5)
-    assert set(t.class_means) == {1, 2, 3, 4}
-    # each residue class mod b contains exactly b units
+    assert t.class_sums.shape == (5,)
+    assert t.class_sums[0] == 0  # no unit is divisible by b
     for k in range(1, 5):
-        assert sum(1 for a in t.S if a % 5 == k) == 5
+        members = t.units % 5 == k
+        # each residue class mod b contains exactly b units
+        assert members.sum() == 5
+        assert t.class_sums[k] == t.S[members].sum()
 
 
-def test_csv_shape():
-    buf = io.StringIO()
-    write_collision_csv(table(3), buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "a,S,S_centered_num,S_centered_den"
-    assert lines[1] == "1,0,2,3"
-    assert lines[4] == "5,-1,-2,3"
-    assert len(lines) == 7
+def test_memory_is_linear_in_phi():
+    # b x phi temporaries would peak near 480 MB at b = 251 (phi = 63,000)
+    group = build_unit_group(251, Level.MOD_B_SQUARED)
+    tracemalloc.start()
+    try:
+        collision_invariant(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

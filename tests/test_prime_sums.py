@@ -38,8 +38,9 @@ def test_f_trunc_two_line_oracle():
     t = collision_invariant(g)
     primes = sieve_primes(1000)
     val = f_trunc(t, 2.0, 1000, primes)
+    s0 = dict(zip(t.units.tolist(), t.S0_num.tolist()))
     expected = math.fsum(
-        float(t.S_centered[p % 9]) / p ** 2 for p in primes_between(9, 1000)
+        float(Fraction(s0[p % 9], 3)) / p ** 2 for p in primes_between(9, 1000)
     )
     assert val == pytest.approx(expected, rel=1e-13)
 

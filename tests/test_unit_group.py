@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from collspec.errors import LimitTooLarge, NotOddPrime
 from collspec.unit_group import (
     Level,
+    _group_with_root,
     build_unit_group,
     is_odd_prime,
     sieve_primes,
@@ -30,15 +31,16 @@ def test_group_mod_9_dlog_table():
     assert g.q == 9
     assert g.phi == 6
     assert g.g == 2
-    assert g.dlog == {1: 0, 2: 1, 4: 2, 8: 3, 7: 4, 5: 5}
-    assert g.units == (1, 2, 4, 5, 7, 8)
+    # dlog[a] = t with 2**t = a; -1 off the units 0, 3, 6
+    assert g.dlog.tolist() == [-1, 0, 1, -1, 2, 5, -1, 4, 3]
+    assert g.units.tolist() == [1, 2, 4, 5, 7, 8]
 
 
 def test_group_mod_25():
     g = build_unit_group(5, Level.MOD_B_SQUARED)
     assert g.phi == 20
     assert len(g.units) == 20
-    assert sorted(g.dlog.values()) == list(range(20))
+    assert sorted(g.dlog[g.units].tolist()) == list(range(20))
     assert g.g == 2
 
 
@@ -58,16 +60,20 @@ def test_rejects_non_odd_prime(bad):
 @pytest.mark.parametrize("b", SMALL_PRIMES)
 def test_dlog_inverts_power(b):
     g = build_unit_group(b, Level.MOD_B_SQUARED)
-    for a, t in g.dlog.items():
-        assert pow(g.g, t, g.q) == a
+    for a in range(g.q):
+        t = int(g.dlog[a])
+        if a % b == 0:
+            assert t == -1
+        else:
+            assert pow(g.g, t, g.q) == a
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
 @settings(max_examples=40, deadline=None)
 def test_dlog_is_homomorphism(b, data):
     g = build_unit_group(b, Level.MOD_B_SQUARED)
-    x = data.draw(st.sampled_from(g.units))
-    y = data.draw(st.sampled_from(g.units))
+    x = data.draw(st.sampled_from(g.units.tolist()))
+    y = data.draw(st.sampled_from(g.units.tolist()))
     assert g.dlog[x * y % g.q] == (g.dlog[x] + g.dlog[y]) % g.phi
 
 
@@ -79,10 +85,17 @@ def test_minus_one_has_half_order(b):
 
 def test_dlog_by_residue_array():
     g = build_unit_group(3, Level.MOD_B_SQUARED)
-    arr = g.dlog_by_residue
+    arr = g.dlog
     assert arr[0] == -1 and arr[3] == -1 and arr[6] == -1
     assert arr[2] == 1 and arr[5] == 5
     assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("q, b, phi, g", [(9, 3, 6, 4), (9, 3, 6, 3), (25, 5, 20, 7)])
+def test_rejects_non_primitive_root(q, b, phi, g):
+    # 4 has order 3 mod 9, 3 is no unit mod 9, 7 has order 4 mod 25
+    with pytest.raises(ValueError):
+        _group_with_root(q, b, phi, g)
 
 
 def _trial_primes(n):
