@@ -1,7 +1,8 @@
 import json
-import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +192,55 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+# Reports pinned byte for byte in tests/golden/, in each format, with the
+# exit code.  Rewrite the files with `PYTHONPATH=src python tests/test_cli.py`.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = [
+    (("verify", "decompose", "--bases", "3,5"), 0),
+    (("verify", "steps", "--base", "5"), 0),
+    (("verify", "vanishing", "--base", "7", "--tol", "1e-8"), 0),
+    (("verify", "moment", "--bases", "3,5,7"), 0),
+    (("verify", "encoding", "--base", "7"), 0),
+    (("verify", "base5", "--bases", "5,7"), 0),
+    (("verify", "base5", "--base", "17"), 0),  # short-sum-measured
+    (("table1", "--bases", "5,7,11"), 1),  # red, passing and measured rows
+    (("packet", "--base", "5"), 0),
+    (("lvalue", "--base", "5"), 0),
+    (("lvalue", "--base", "5", "--cutoff", "1000"), 0),
+    (("classnumber",), 0),
+    (("cross-moment", "--base", "5", "--s", "1.2", "--cutoff", "2000"), 0),
+    (("cross-moment", "--bases", "3,5", "--s", "0.8,1.5", "--cutoff", "20000"), 0),
+    (("expansion", "--base", "5", "--cutoff", "2000"), 0),
+    (("sweep", "--bases", "3,5", "--cutoff", "20000"), 0),
+    (("dump-collision", "--base", "5"), 0),
+]
+GOLDEN_FORMATS = {"json": "json", "csv": "csv", "pretty": "txt"}
+
+
+def golden_path(argv, fmt: str) -> Path:
+    slug = re.sub(r"[^A-Za-z0-9.]+", "-", " ".join(argv)).strip("-")
+    return GOLDEN / f"{slug}.{GOLDEN_FORMATS[fmt]}"
+
+
+@pytest.mark.parametrize("fmt", list(GOLDEN_FORMATS))
+@pytest.mark.parametrize("argv,code", GOLDEN_CASES, ids=[" ".join(a) for a, _ in GOLDEN_CASES])
+def test_report_matches_golden(capsys, argv, code, fmt):
+    got, out, _ = run_main(capsys, *argv, "--format", fmt)
+    assert got == code
+    assert out.encode("utf-8") == golden_path(argv, fmt).read_bytes()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for argv, code in GOLDEN_CASES:
+        for fmt in GOLDEN_FORMATS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                got = main([*argv, "--format", fmt])
+            assert got == code, (argv, got)
+            golden_path(argv, fmt).write_bytes(buf.getvalue().encode("utf-8"))
