@@ -1,25 +1,34 @@
 """Command-line front end: one command per verified identity.
 
-Every command computes a set of verdicts (check name, pass/fail, worst
-residual, tolerance) plus detail rows, and serializes them as JSON, CSV
-or a human-readable table.  Serialization is deterministic: floats are
-written as decimal literals with 17 significant digits, rows are emitted
-in a fixed order, and re-running a command with the same configuration
-reproduces the output byte for byte.
+COMMANDS is the table of commands.  An entry holds a command's help
+text, its --cutoff/--s flags, default bases and exponents, CSV columns,
+single-base rule and check function; the parser and the run
+configuration are built from it.  A check returns the verdicts of one
+base, or of the whole run for the commands that pool their rows
+(classnumber, cross-moment, expansion, sweep), and `run` loops over the
+bases and builds the report.
+
+A verdict gates the worst residual of its rows against a tolerance; a
+NaN residual fails.  Rows hold plain values, complex ones included, and
+only the renderers write a complex z: as [re, im] in JSON, as
+<key>_re, <key>_im elsewhere.  Floats are written with 17 significant
+digits and rows in a fixed order, so re-running a command with the same
+configuration reproduces its report byte for byte.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
-configuration error (bad base, bad tolerance, bad cutoff).
+configuration error (bad base, tolerance, cutoff or exponent).
 
 Output goes to stdout, to --out, or to $COLLSPEC_OUT_DIR/<command>.<ext>
 when that variable is set.  The default format is pretty on a terminal
 and JSON otherwise; a .csv/.json suffix on --out picks the format when
 --format is absent.
 
-Per-check default tolerances derive from the base tolerance t = --tol
-(default 1e-10): vanishing coefficients are held to t/10 and vanishing
-diagonal sums to t/100, relative errors of moment and expansion checks
-to 10*t.  The decay-table comparison uses its own fixed band of 0.05
-and the class-number integrality guard is fixed at 1e-6.
+Tolerances derive from t = --tol (default 1e-10): t/10 for vanishing
+coefficients, t/100 for vanishing diagonal sums, 10*t for the relative
+errors of moment and expansion checks; the decay table has a fixed band
+of 0.05.  The class-number verdict holds sqrt(b)|L|/pi within 1e-6 of
+the reduced-forms count.  lvalues.ROUNDING_GUARD = 1e-3 is a separate,
+looser bound: past it class_number_check raises instead of rounding.
 """
 
 from __future__ import annotations
@@ -31,7 +40,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -42,8 +53,7 @@ from .unit_group import Level, build_unit_group, is_odd_prime
 
 OUT_DIR_ENV = "COLLSPEC_OUT_DIR"
 DEFAULT_CUTOFF = 1_000_000
-SWEEP_S_GRID = (0.8, 1.0, 1.2, 1.5)
-CLASSNUMBER_RANGE = (7, 163)
+CLASSNUMBER_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,29 +87,32 @@ class Report:
         return all(v.passed for v in self.verdicts)
 
 
-def _verdict(name: str, worst: float, tol: float, rows: list[dict]) -> Verdict:
-    return Verdict(
-        check_name=name,
-        passed=worst < tol,
-        worst_residual=worst,
-        tolerance=tol,
-        details=tuple(rows),
-    )
+def _verdict(name: str, residuals: Iterable[float], tol: float, rows=()) -> Verdict:
+    """Gate the largest residual against tol; a NaN residual fails."""
+    residuals = list(residuals)
+    worst = math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
+    return Verdict(name, worst < tol, worst, tol, tuple(rows))
 
 
-def _c(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _row(b: int, record, **names: str | None) -> dict:
+    """A result dataclass as a report row headed by b.
+
+    chi_index becomes j; `names` renames further fields, or drops them
+    when mapped to None.
+    """
+    names = {"b": None, "chi_index": "j", **names}
+    row = {"b": b}
+    for f in fields(record):
+        if (name := names.get(f.name, f.name)) is not None:
+            row[name] = getattr(record, f.name)
+    return row
 
 
-def _fields(record) -> dict:
-    """A result dataclass as a row, less its b and chi_index fields."""
-    return {k: v for k, v in asdict(record).items() if k not in ("b", "chi_index")}
+# ====== checks: the verdicts of one base, or of a whole run ======
 
 
-# ====== command handlers ======
-
-
-def _spectrum_rows(records) -> list[dict]:
+def _check_decompose(b: int, cfg: RunConfig) -> list[Verdict]:
+    records = spectrum.verify_decomposition(b)
     rows = []
     for r in records:
         residuals = {"decomposition": r.decomposition_residual}
@@ -107,285 +120,146 @@ def _spectrum_rows(records) -> list[dict]:
             residuals["s_hat_vanishing"] = abs(r.s_hat)
         if r.parity == "odd" and not r.primitive:
             residuals["S_G_vanishing"] = abs(r.S_G)
-        row = {k: _c(v) if isinstance(v, complex) else v for k, v in _fields(r).items()}
-        del row["decomposition_residual"]
-        rows.append({"b": r.b, "j": r.chi_index, **row, "residuals": residuals})
-    return rows
+        rows.append({**_row(b, r, decomposition_residual=None), "residuals": residuals})
+    worst = (r.decomposition_residual for r in records if r.parity == "odd" and r.primitive)
+    return [_verdict(f"decompose[b={b}]", worst, cfg.tolerance, rows)]
 
 
-def _cmd_verify_decompose(cfg: RunConfig) -> Report:
-    verdicts = []
-    for b in cfg.bases:
-        records = spectrum.verify_decomposition(b)
-        worst = max(r.decomposition_residual for r in records
-                    if r.parity == "odd" and r.primitive)
-        verdicts.append(
-            _verdict(f"decompose[b={b}]", worst, cfg.tolerance, _spectrum_rows(records))
-        )
-    return Report(cfg, verdicts)
+def _check_steps(b: int, cfg: RunConfig) -> list[Verdict]:
+    group = build_unit_group(b, Level.MOD_B_SQUARED)
+    reports = [spectrum.verify_proof_steps(b, chi)
+               for chi in enumerate_family(group, Family.PRIMITIVE_ODD)]
+    rows = [{k.removesuffix("_residual"): v for k, v in _row(b, rep).items()}
+            for rep in reports]
+    worst = (rep.max_residual for rep in reports)
+    return [_verdict(f"steps[b={b}]", worst, cfg.tolerance, rows)]
 
 
-def _cmd_verify_steps(cfg: RunConfig) -> Report:
-    verdicts = []
-    for b in cfg.bases:
-        group = build_unit_group(b, Level.MOD_B_SQUARED)
-        rows, worst = [], 0.0
-        for chi in enumerate_family(group, Family.PRIMITIVE_ODD):
-            rep = spectrum.verify_proof_steps(b, chi)
-            worst = max(worst, rep.max_residual)
-            residuals = {k.removesuffix("_residual"): v for k, v in _fields(rep).items()}
-            rows.append({"b": b, "j": chi.index, **residuals})
-        verdicts.append(_verdict(f"steps[b={b}]", worst, cfg.tolerance, rows))
-    return Report(cfg, verdicts)
+def _check_vanishing(b: int, cfg: RunConfig) -> list[Verdict]:
+    rows = []
+    for r in spectrum.verify_decomposition(b):
+        if r.parity == "odd" and r.primitive:
+            continue
+        family = "even" if r.parity == "even" else "imprimitive-odd"
+        rows.append({"b": b, "j": r.chi_index, "family": family, "s_hat_abs": abs(r.s_hat)})
+        if r.parity == "odd":
+            rows[-1]["S_G_abs"] = abs(r.S_G)
+    return [
+        _verdict(f"vanishing-s-hat[b={b}]", (row["s_hat_abs"] for row in rows),
+                 cfg.tolerance / 10, rows),
+        _verdict(f"vanishing-S-G[b={b}]", (row.get("S_G_abs", 0.0) for row in rows),
+                 cfg.tolerance / 100),
+    ]
 
 
-def _cmd_verify_vanishing(cfg: RunConfig) -> Report:
-    verdicts = []
-    for b in cfg.bases:
-        records = spectrum.verify_decomposition(b)
-        rows = []
-        for r in records:
-            if r.parity == "odd" and r.primitive:
-                continue
-            family = "even" if r.parity == "even" else "imprimitive-odd"
-            rows.append({"b": b, "j": r.chi_index, "family": family, "s_hat_abs": abs(r.s_hat)})
-            if r.parity == "odd":
-                rows[-1]["S_G_abs"] = abs(r.S_G)
-        worst_hat = max(row["s_hat_abs"] for row in rows)
-        worst_sg = max(row.get("S_G_abs", 0.0) for row in rows)
-        verdicts.append(
-            _verdict(f"vanishing-s-hat[b={b}]", worst_hat, cfg.tolerance / 10, rows)
-        )
-        verdicts.append(
-            _verdict(f"vanishing-S-G[b={b}]", worst_sg, cfg.tolerance / 100, [])
-        )
-    return Report(cfg, verdicts)
+def _check_moment(b: int, cfg: RunConfig) -> list[Verdict]:
+    rep = spectrum.verify_moment(b)
+    return [_verdict(f"moment[b={b}]", (rep.rel_err, rep.parseval_rel_err),
+                     10 * cfg.tolerance, [_row(b, rep)])]
 
 
-def _cmd_verify_moment(cfg: RunConfig) -> Report:
-    verdicts = []
-    for b in cfg.bases:
-        rep = spectrum.verify_moment(b)
-        row = {"b": b, **_fields(rep)}
-        worst = max(rep.rel_err, rep.parseval_rel_err)
-        verdicts.append(_verdict(f"moment[b={b}]", worst, 10 * cfg.tolerance, [row]))
-    return Report(cfg, verdicts)
+def _check_encoding(b: int, cfg: RunConfig) -> list[Verdict]:
+    rows = [_row(b, er) for er in lvalues.verify_encoding(b)]
+    return [_verdict(f"encoding[b={b}]", (row["residual"] for row in rows), cfg.tolerance, rows)]
 
 
-def _cmd_verify_encoding(cfg: RunConfig) -> Report:
-    verdicts = []
-    for b in cfg.bases:
-        rows = [{"b": b, "j": er.chi_index, **_fields(er)} for er in lvalues.verify_encoding(b)]
-        worst = max(row["residual"] for row in rows)
-        verdicts.append(_verdict(f"encoding[b={b}]", worst, cfg.tolerance, rows))
-    return Report(cfg, verdicts)
+def _check_base5(b: int, cfg: RunConfig) -> list[Verdict]:
+    rep = spectrum.verify_base5_identities(b)
+    # Above the verified range the identity's status is open: report, gate nothing.
+    measured = {} if rep.in_verified_range else {"measured_only": True}
+    rows = [{**{k: v for k, v in _row(b, r).items() if v is not None}, **measured}
+            for r in rep.rows]
+    name, worst = ("measured", 0.0) if measured else ("doubling", rep.max_doubling_residual)
+    verdicts = [_verdict(f"short-sum-{name}[b={b}]", [worst], cfg.tolerance, rows)]
+    if rep.max_sqrt5_residual is not None:
+        verdicts.append(_verdict(f"short-sum-sqrt5[b={b}]", [rep.max_sqrt5_residual],
+                                 cfg.tolerance))
+    if rep.fourth_moment is not None:
+        verdicts.append(_verdict(f"fourth-moment[b={b}]", [rep.fourth_moment.rel_err],
+                                 10 * cfg.tolerance, [_row(b, rep.fourth_moment)]))
+    return verdicts
 
 
-def _cmd_verify_base5(cfg: RunConfig) -> Report:
-    verdicts = []
-    for b in cfg.bases:
-        rep = spectrum.verify_base5_identities(b)
-        rows = []
-        for row in rep.rows:
-            d = {"b": b, "j": row.chi_index}
-            d.update((k, v) for k, v in _fields(row).items() if v is not None)
-            if not rep.in_verified_range:
-                d["measured_only"] = True
-            rows.append(d)
-        if rep.in_verified_range:
-            verdicts.append(
-                _verdict(f"short-sum-doubling[b={b}]",
-                         rep.max_doubling_residual, cfg.tolerance, rows)
-            )
-        else:
-            # Identity status is open out here; report, gate nothing.
-            verdicts.append(_verdict(f"short-sum-measured[b={b}]", 0.0,
-                                     cfg.tolerance, rows))
-        if rep.max_sqrt5_residual is not None:
-            verdicts.append(
-                _verdict(f"short-sum-sqrt5[b={b}]",
-                         rep.max_sqrt5_residual, cfg.tolerance, [])
-            )
-        if rep.fourth_moment is not None:
-            fm = rep.fourth_moment
-            verdicts.append(_verdict(f"fourth-moment[b={b}]", fm.rel_err,
-                                     10 * cfg.tolerance, [{"b": b, **_fields(fm)}]))
-    return Report(cfg, verdicts)
+def _check_table1(b: int, cfg: RunConfig) -> list[Verdict]:
+    stats = packet.packet_stats(b)
+    row = _row(b, stats, std_times_logb="std_ln_b", std_times_log10b="std_log10_b")
+    if b not in packet.TABLE1_TARGETS:
+        return [_verdict(f"table1-measured[b={b}]", [0.0], packet.TABLE1_TOLERANCE, [row])]
+    mean_ref, std_ref = packet.TABLE1_TARGETS[b]
+    residuals = (abs(stats.mean_ratio - mean_ref), abs(stats.std_ratio - std_ref),
+                 abs(stats.mean_phase_cos))
+    return [_verdict(f"table1[b={b}]", residuals, packet.TABLE1_TOLERANCE, [row])]
 
 
-TABLE1_COLUMNS = (
-    "b", "mean_ratio", "std_ratio", "std_ln_b", "std_log10_b",
-    "mean_phase_cos", "count",
-)
+def _check_packet(b: int, cfg: RunConfig) -> list[Verdict]:
+    records = packet.packet_records(b)
+    rows = [{**_row(b, r), "probe": packet.probe_from_parts(r.L1, r.delta, r.P_short).ratio_to_P}
+            for r in records]
+    broken = (len(records) != (b - 1) ** 2 // 2
+              or any(r.twist_count != (b - 3) // 2 for r in records))
+    return [_verdict(f"packet[b={b}]", [float(broken)], cfg.tolerance, rows)]
 
 
-def _cmd_table1(cfg: RunConfig) -> Report:
-    verdicts = []
-    for b in cfg.bases:
-        stats = packet.packet_stats(b)
-        row = {
-            "b": stats.b,
-            "mean_ratio": stats.mean_ratio,
-            "std_ratio": stats.std_ratio,
-            "std_ln_b": stats.std_times_logb,
-            "std_log10_b": stats.std_times_log10b,
-            "mean_phase_cos": stats.mean_phase_cos,
-            "count": stats.count,
-            "std_ratio_sample": stats.std_ratio_sample,
-        }
-        if b in packet.TABLE1_TARGETS:
-            mean_ref, std_ref = packet.TABLE1_TARGETS[b]
-            worst = max(
-                abs(stats.mean_ratio - mean_ref),
-                abs(stats.std_ratio - std_ref),
-                abs(stats.mean_phase_cos),
-            )
-            verdicts.append(
-                _verdict(f"table1[b={b}]", worst, packet.TABLE1_TOLERANCE, [row])
-            )
-        else:
-            verdicts.append(
-                _verdict(f"table1-measured[b={b}]", 0.0, packet.TABLE1_TOLERANCE, [row])
-            )
-    return Report(cfg, verdicts, csv_columns=TABLE1_COLUMNS)
-
-
-def _cmd_packet(cfg: RunConfig) -> Report:
-    verdicts = []
-    for b in cfg.bases:
-        records = packet.packet_records(b)
-        rows = []
-        structural = 0.0
-        for r in records:
-            probe = packet.probe_from_parts(r.L1, r.delta, r.P_short)
-            rows.append(
-                {
-                    "b": b,
-                    "j": r.chi_index,
-                    "P_short": _c(r.P_short),
-                    "L1": _c(r.L1),
-                    "delta": _c(r.delta),
-                    "ratio": r.ratio,
-                    "phase_cos": r.phase_cos,
-                    "twist_count": r.twist_count,
-                    "probe": _c(probe.ratio_to_P) if probe.defined else None,
-                }
-            )
-            if r.twist_count != (b - 3) // 2:
-                structural = 1.0
-        if len(records) != (b - 1) ** 2 // 2:
-            structural = 1.0
-        verdicts.append(_verdict(f"packet[b={b}]", structural, cfg.tolerance, rows))
-    return Report(cfg, verdicts)
-
-
-def _cmd_lvalue(cfg: RunConfig) -> Report:
-    verdicts = []
-    for b in cfg.bases:
-        spec = spectrum.spectrum_of(b)
-        rows, worst, worst_gap = [], 0.0, 0.0
-        for j, l_val, b1 in spec.columns(Family.PRIMITIVE_ODD, "L1", "B1"):
-            b1_abs = abs(b1)
-            residual = abs(b1_abs - b / math.pi * abs(l_val))
-            worst = max(worst, residual)
-            row = {
-                "b": b,
-                "j": j,
-                "L": _c(l_val),
-                "L_abs": abs(l_val),
-                "B1_abs": b1_abs,
-                "magnitude_residual": residual,
-            }
-            if cfg.cutoff is not None:
-                series = lvalues.l_value_series(Character(spec.group, j), cfg.cutoff)
-                gap = max(0.0, abs(l_val - series.value) - series.tail_bound)
-                worst_gap = max(worst_gap, gap)
-                row.update(
-                    {
-                        "series": _c(series.value),
-                        "series_truncation": series.series_truncation,
-                        "tail_bound": series.tail_bound,
-                        "agreement_gap": gap,
-                    }
-                )
-            rows.append(row)
-        verdicts.append(_verdict(f"lvalue-magnitude[b={b}]", worst, cfg.tolerance, rows))
+def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
+    spec = spectrum.spectrum_of(b)
+    rows = []
+    for j, l_val, b1 in spec.columns(Family.PRIMITIVE_ODD, "L1", "B1"):
+        rows.append({
+            "b": b,
+            "j": j,
+            "L": l_val,
+            "L_abs": abs(l_val),
+            "B1_abs": abs(b1),
+            "magnitude_residual": abs(abs(b1) - b / math.pi * abs(l_val)),
+        })
         if cfg.cutoff is not None:
-            verdicts.append(
-                _verdict(f"lvalue-series[b={b}]", worst_gap, 10 * cfg.tolerance, [])
+            series = lvalues.l_value_series(Character(spec.group, j), cfg.cutoff)
+            rows[-1].update(
+                series=series.value,
+                series_truncation=series.series_truncation,
+                tail_bound=series.tail_bound,
+                agreement_gap=max(0.0, abs(l_val - series.value) - series.tail_bound),
             )
-    return Report(cfg, verdicts)
+    verdicts = [_verdict(f"lvalue-magnitude[b={b}]", (r["magnitude_residual"] for r in rows),
+                         cfg.tolerance, rows)]
+    if cfg.cutoff is not None:
+        verdicts.append(_verdict(f"lvalue-series[b={b}]", (r["agreement_gap"] for r in rows),
+                                 10 * cfg.tolerance))
+    return verdicts
 
 
-def _cmd_classnumber(cfg: RunConfig) -> Report:
-    rows, worst = [], 0.0
-    for b in cfg.bases:
-        rec = lvalues.class_number_check(b)
-        worst = max(worst, abs(rec.pre_rounding - rec.h_from_forms))
-        rows.append(
-            {
-                "b": rec.b,
-                "D": rec.discriminant,
-                "h_from_L": rec.h_from_L,
-                "h_from_forms": rec.h_from_forms,
-                "pre_rounding": rec.pre_rounding,
-                "equal": rec.h_from_L == rec.h_from_forms,
-            }
-        )
-    return Report(cfg, [_verdict("classnumber", worst, 1e-6, rows)])
-
-
-def _prime_sum_rows(cfg: RunConfig) -> list[dict]:
-    cutoff = cfg.cutoff if cfg.cutoff is not None else DEFAULT_CUTOFF
+def _check_classnumber(cfg: RunConfig) -> list[Verdict]:
     rows = []
     for b in cfg.bases:
-        for s in cfg.s_values:
-            rec = prime_sums.cross_moment_bound(b, s, cutoff)
-            rows.append(
-                {
-                    "b": rec.b,
-                    "s": rec.s,
-                    "N": rec.cutoff,
-                    "F": rec.F_trunc,
-                    "expansion_residual": rec.expansion_residual,
-                    "restriction_residual": rec.restriction_residual,
-                    "bound_lhs": rec.bound_lhs,
-                    "bound_rhs": rec.bound_rhs,
-                    "margin": rec.margin,
-                }
-            )
-    return rows
+        rec = lvalues.class_number_check(b)
+        rows.append({**_row(b, rec, discriminant="D"),
+                     "equal": rec.h_from_L == rec.h_from_forms})
+    residuals = (abs(r["pre_rounding"] - r["h_from_forms"]) for r in rows)
+    return [_verdict("classnumber", residuals, CLASSNUMBER_TOLERANCE, rows)]
 
 
-def _margin_command(check_name: str):
-    def handler(cfg: RunConfig) -> Report:
-        rows = _prime_sum_rows(cfg)
-        worst = max(max(0.0, -row["margin"]) for row in rows)
-        return Report(cfg, [_verdict(check_name, worst, cfg.tolerance, rows)])
-
-    return handler
+def _prime_sum_rows(cfg: RunConfig, record: Callable) -> list[dict]:
+    cutoff = DEFAULT_CUTOFF if cfg.cutoff is None else cfg.cutoff
+    return [_row(b, record(b, s, cutoff), cutoff="N", F_trunc="F", P_trunc=None)
+            for b in cfg.bases for s in cfg.s_values]
 
 
-def _cmd_expansion(cfg: RunConfig) -> Report:
-    rows = _prime_sum_rows(cfg)
-    worst_exp = max(row["expansion_residual"] for row in rows)
-    worst_restrict = max(row["restriction_residual"] for row in rows)
-    return Report(
-        cfg,
-        [
-            _verdict("expansion", worst_exp, 10 * cfg.tolerance, rows),
-            _verdict("restriction", worst_restrict, cfg.tolerance, []),
-        ],
-    )
+def _check_margin(check_name: str, cfg: RunConfig) -> list[Verdict]:
+    rows = _prime_sum_rows(cfg, prime_sums.cross_moment_bound)
+    shortfall = (0.0 if r["margin"] >= 0 else -r["margin"] for r in rows)
+    return [_verdict(check_name, shortfall, cfg.tolerance, rows)]
 
 
-DUMP_COLUMNS = ("a", "S", "S_centered_num", "S_centered_den")
+def _check_expansion(cfg: RunConfig) -> list[Verdict]:
+    rows = _prime_sum_rows(cfg, prime_sums.verify_expansion)
+    return [
+        _verdict("expansion", (r["expansion_residual"] for r in rows), 10 * cfg.tolerance, rows),
+        _verdict("restriction", (r["restriction_residual"] for r in rows), cfg.tolerance),
+    ]
 
 
-def _cmd_dump_collision(cfg: RunConfig) -> Report:
-    b = cfg.bases[0]
-    group = build_unit_group(b, Level.MOD_B_SQUARED)
-    table = collision.collision_invariant(group)
+def _check_dump_collision(b: int, cfg: RunConfig) -> list[Verdict]:
+    table = collision.collision_invariant(build_unit_group(b, Level.MOD_B_SQUARED))
     # S0 = S0_num / b, printed in lowest terms as Fraction would print it.
     g = np.gcd(table.S0_num, b)
     rows = [
@@ -396,29 +270,56 @@ def _cmd_dump_collision(cfg: RunConfig) -> Report:
     coset_ok = not collision.coset_sums(b, table.units, table.S0_num).any()
     # a -> m - a reverses the ascending units.
     anti_ok = np.array_equal(table.S0_num[::-1], -table.S0_num)
-    structural = 0.0 if (coset_ok and anti_ok) else 1.0
-    return Report(
-        cfg,
-        [_verdict(f"collision-exactness[b={b}]", structural, cfg.tolerance, rows)],
-        csv_columns=DUMP_COLUMNS,
-    )
+    return [_verdict(f"collision-exactness[b={b}]", [float(not (coset_ok and anti_ok))],
+                     cfg.tolerance, rows)]
 
 
-_HANDLERS = {
-    "verify-decompose": _cmd_verify_decompose,
-    "verify-steps": _cmd_verify_steps,
-    "verify-vanishing": _cmd_verify_vanishing,
-    "verify-moment": _cmd_verify_moment,
-    "verify-encoding": _cmd_verify_encoding,
-    "verify-base5": _cmd_verify_base5,
-    "table1": _cmd_table1,
-    "packet": _cmd_packet,
-    "lvalue": _cmd_lvalue,
-    "classnumber": _cmd_classnumber,
-    "cross-moment": _margin_command("cross-moment"),
-    "expansion": _cmd_expansion,
-    "sweep": _margin_command("sweep-margin"),
-    "dump-collision": _cmd_dump_collision,
+# ====== the command table ======
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    check: Callable  # (b, cfg) -> verdicts of base b; (cfg) -> all verdicts if whole_run
+    whole_run: bool = False
+    flags: tuple[str, ...] = ()  # beyond COMMON_FLAGS
+    bases: tuple[int, ...] = ()  # default bases; () makes --base/--bases required
+    s_values: tuple[float, ...] = (1.2,)  # default exponents
+    columns: tuple[str, ...] | None = None  # CSV columns; None: union of row keys
+    single_base: bool = False
+
+
+PRIME_SUM_FLAGS = ("--cutoff", "--s")
+
+COMMANDS = {
+    "verify-decompose": Command("factorization of s0_hat through B1 and S_G", _check_decompose),
+    "verify-steps": Command("the steps behind the factorization", _check_steps),
+    "verify-vanishing": Command("vanishing at even / imprimitive-odd characters",
+                                _check_vanishing),
+    "verify-moment": Command("Parseval and the second-moment identity", _check_moment),
+    "verify-encoding": Command("L-encoding of coefficient magnitudes", _check_encoding),
+    "verify-base5": Command("short-sum doubling and the base-5 extras", _check_base5),
+    "table1": Command(
+        "decay statistics of |Delta|/|L|", _check_table1,
+        bases=tuple(sorted(packet.TABLE1_TARGETS)),
+        columns=("b", "mean_ratio", "std_ratio", "std_ln_b", "std_log10_b",
+                 "mean_phase_cos", "count"),
+    ),
+    "packet": Command("per-character packet records", _check_packet),
+    "lvalue": Command("closed-form L(1) values", _check_lvalue, flags=("--cutoff",)),
+    "classnumber": Command(
+        "h(-b) two ways", _check_classnumber, whole_run=True,
+        bases=tuple(b for b in range(7, 164) if is_odd_prime(b) and b % 4 == 3),
+    ),
+    "cross-moment": Command("triangle-inequality margin", partial(_check_margin, "cross-moment"),
+                            whole_run=True, flags=PRIME_SUM_FLAGS),
+    "expansion": Command("finite spectral expansion", _check_expansion,
+                         whole_run=True, flags=PRIME_SUM_FLAGS),
+    "sweep": Command("margin over a (b, s) grid", partial(_check_margin, "sweep-margin"),
+                     whole_run=True, flags=PRIME_SUM_FLAGS,
+                     bases=(5, 7, 13), s_values=(0.8, 1.0, 1.2, 1.5)),
+    "dump-collision": Command("CSV of S and S0", _check_dump_collision, single_base=True,
+                              columns=("a", "S", "S_centered_num", "S_centered_den")),
 }
 
 
@@ -439,6 +340,8 @@ def _json_value(v, indent: int) -> str:
             f'{pad}  {json.dumps(k)}: {_json_value(x, indent + 2)}' for k, x in v.items()
         )
         return "{\n" + items + "\n" + pad + "}"
+    if isinstance(v, complex):
+        return f"[{fmt_float(v.real)}, {fmt_float(v.imag)}]"
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
@@ -498,13 +401,13 @@ def _flat_cell(v) -> str:
 def _flatten_row(row: dict) -> dict[str, str]:
     flat: dict[str, str] = {}
     for k, v in row.items():
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            flat[f"{k}_re"] = _flat_cell(v[0])
-            flat[f"{k}_im"] = _flat_cell(v[1])
+        if isinstance(v, complex):
+            flat[f"{k}_re"] = fmt_float(v.real)
+            flat[f"{k}_im"] = fmt_float(v.imag)
         elif isinstance(v, dict):
             for kk, vv in v.items():
                 flat[f"{k}.{kk}"] = _flat_cell(vv)
-        elif v is None:
+        elif v is None:  # a complex value that is undefined for this row
             flat[f"{k}_re"] = ""
             flat[f"{k}_im"] = ""
         else:
@@ -521,14 +424,7 @@ def render_csv(report: Report) -> str:
             if multi and report.csv_columns is None:
                 flat = {"check": v.check_name, **flat}
             flats.append(flat)
-    if report.csv_columns is not None:
-        columns = list(report.csv_columns)
-    else:
-        columns = []
-        for flat in flats:
-            for k in flat:
-                if k not in columns:
-                    columns.append(k)
+    columns = report.csv_columns or dict.fromkeys(k for flat in flats for k in flat)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -570,9 +466,7 @@ def _resolve_format(cfg: RunConfig) -> str:
     if cfg.fmt is not None:
         return cfg.fmt
     if cfg.out is not None:
-        if cfg.out.endswith(".csv"):
-            return "csv"
-        return "json"
+        return "csv" if cfg.out.endswith(".csv") else "json"
     if os.environ.get(OUT_DIR_ENV):
         return "json"
     return "pretty" if sys.stdout.isatty() else "json"
@@ -580,7 +474,12 @@ def _resolve_format(cfg: RunConfig) -> str:
 
 def run(cfg: RunConfig) -> int:
     """Execute one command and write its report; returns the exit code."""
-    report = _HANDLERS[cfg.command](cfg)
+    command = COMMANDS[cfg.command]
+    if command.whole_run:
+        verdicts = command.check(cfg)
+    else:
+        verdicts = [v for b in cfg.bases for v in command.check(b, cfg)]
+    report = Report(cfg, verdicts, command.columns)
     fmt = _resolve_format(cfg)
     text = _RENDERERS[fmt](report)
 
@@ -601,20 +500,21 @@ def run(cfg: RunConfig) -> int:
 # ====== argument parsing ======
 
 
-def _add_common(sp: argparse.ArgumentParser, with_cutoff: bool = False,
-                with_s: bool = False) -> None:
-    sp.add_argument("--base", type=int, help="single base b (odd prime)")
-    sp.add_argument("--bases", type=str, help="comma-separated bases, e.g. 5,7,13")
-    sp.add_argument("--tol", type=float, default=1e-10,
-                    help="base tolerance (default 1e-10)")
-    sp.add_argument("--out", type=str, default=None, help="write the report here")
-    sp.add_argument("--format", choices=("json", "csv", "pretty"), default=None)
-    if with_cutoff:
-        sp.add_argument("--cutoff", type=int, default=None,
-                        help="truncation N (prime sums default 10**6)")
-    if with_s:
-        sp.add_argument("--s", type=str, default=None,
-                        help="exponent(s), comma-separated")
+FLAGS = {
+    "--base": dict(type=int, help="single base b (odd prime)"),
+    "--bases": dict(type=str, help="comma-separated bases, e.g. 5,7,13"),
+    "--tol": dict(type=float, default=1e-10, help="base tolerance (default 1e-10)"),
+    "--out": dict(type=str, default=None, help="write the report here"),
+    "--format": dict(choices=("json", "csv", "pretty"), default=None),
+    "--cutoff": dict(type=int, default=None, help="truncation N (prime sums default 10**6)"),
+    "--s": dict(type=str, default=None, help="exponent(s), comma-separated"),
+}
+COMMON_FLAGS = ("--base", "--bases", "--tol", "--out", "--format")
+
+
+def _add_flags(sp: argparse.ArgumentParser, extra: Iterable[str]) -> None:
+    for flag in (*COMMON_FLAGS, *extra):
+        sp.add_argument(flag, **FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -623,64 +523,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify collision-invariant spectrum identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
+    verify = {name.removeprefix("verify-"): command for name, command in COMMANDS.items()
+              if name.startswith("verify-")}
     pv = sub.add_parser("verify", help="run one identity check")
-    pv.add_argument(
-        "what",
-        choices=("decompose", "steps", "vanishing", "moment", "encoding", "base5"),
-    )
-    _add_common(pv)
-
-    _add_common(sub.add_parser("table1", help="decay statistics of |Delta|/|L|"))
-    _add_common(sub.add_parser("packet", help="per-character packet records"))
-    _add_common(sub.add_parser("lvalue", help="closed-form L(1) values"),
-                with_cutoff=True)
-    _add_common(sub.add_parser("classnumber", help="h(-b) two ways"))
-    _add_common(sub.add_parser("cross-moment", help="triangle-inequality margin"),
-                with_cutoff=True, with_s=True)
-    _add_common(sub.add_parser("expansion", help="finite spectral expansion"),
-                with_cutoff=True, with_s=True)
-    _add_common(sub.add_parser("sweep", help="margin over a (b, s) grid"),
-                with_cutoff=True, with_s=True)
-    _add_common(sub.add_parser("dump-collision", help="CSV of S and S0"))
+    pv.add_argument("what", choices=tuple(verify),
+                    help="; ".join(f"{what}: {command.help}" for what, command in verify.items()))
+    _add_flags(pv, dict.fromkeys(f for command in verify.values() for f in command.flags))
+    for name, command in COMMANDS.items():
+        if not name.startswith("verify-"):
+            _add_flags(sub.add_parser(name, help=command.help), command.flags)
     return parser
-
-
-def _default_bases(command: str) -> tuple[int, ...] | None:
-    if command == "classnumber":
-        lo, hi = CLASSNUMBER_RANGE
-        return tuple(b for b in range(lo, hi + 1) if is_odd_prime(b) and b % 4 == 3)
-    if command == "table1":
-        return tuple(sorted(packet.TABLE1_TARGETS))
-    if command == "sweep":
-        return (5, 7, 13)
-    return None
 
 
 def _config_from_args(args: argparse.Namespace,
                       parser: argparse.ArgumentParser) -> RunConfig:
-    command = args.command
-    if command == "verify":
-        command = f"verify-{args.what}"
+    name = f"verify-{args.what}" if args.command == "verify" else args.command
+    command = COMMANDS[name]
 
     if args.base is not None and args.bases is not None:
         parser.error("give --base or --bases, not both")
     if args.base is not None:
-        bases: tuple[int, ...] | None = (args.base,)
+        bases = (args.base,)
     elif args.bases is not None:
         try:
             bases = tuple(int(x) for x in args.bases.split(","))
         except ValueError:
             parser.error(f"cannot parse --bases {args.bases!r}")
     else:
-        bases = _default_bases(command)
+        bases = command.bases
     if not bases:
-        parser.error(f"{command} needs --base or --bases")
+        parser.error(f"{name} needs --base or --bases")
     for b in bases:
         if not is_odd_prime(b):
             raise NotOddPrime(f"base must be an odd prime, got {b}")
-    if command == "dump-collision" and len(bases) != 1:
-        parser.error("dump-collision takes exactly one base")
+    if command.single_base and len(bases) != 1:
+        parser.error(f"{name} takes exactly one base")
 
     if not 0 < args.tol <= 1e-3:
         parser.error(f"--tol must lie in (0, 1e-3], got {args.tol}")
@@ -689,19 +566,16 @@ def _config_from_args(args: argparse.Namespace,
     if cutoff is not None and cutoff <= 0:
         parser.error(f"--cutoff must be positive, got {cutoff}")
 
+    s_values = command.s_values
     s_raw = getattr(args, "s", None)
     if s_raw is not None:
         try:
             s_values = tuple(float(x) for x in s_raw.split(","))
         except ValueError:
             parser.error(f"cannot parse --s {s_raw!r}")
-    elif command == "sweep":
-        s_values = SWEEP_S_GRID
-    else:
-        s_values = (1.2,)
 
     return RunConfig(
-        command=command,
+        command=name,
         bases=bases,
         tolerance=args.tol,
         cutoff=cutoff,

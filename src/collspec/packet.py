@@ -95,13 +95,13 @@ def packet_delta(chi: Character) -> PacketRecord:
 @dataclass(frozen=True)
 class PacketStats:
     b: int
-    count: int  # (b-1)^2 / 2 primitive odd, b(b-1) / 2 all odd
     mean_ratio: float
     std_ratio: float  # population
-    std_ratio_sample: float
     std_times_logb: float  # std_ratio * ln b
     std_times_log10b: float
     mean_phase_cos: float
+    count: int  # (b-1)^2 / 2 primitive odd, b(b-1) / 2 all odd
+    std_ratio_sample: float
 
 
 def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> list[PacketRecord]:
@@ -121,13 +121,13 @@ def stats_from_records(b: int, records: list[PacketRecord]) -> PacketStats:
     std_sample = math.sqrt(centered / (n - 1)) if n > 1 else 0.0
     return PacketStats(
         b=b,
-        count=n,
         mean_ratio=mean,
         std_ratio=std_pop,
-        std_ratio_sample=std_sample,
         std_times_logb=std_pop * math.log(b),
         std_times_log10b=std_pop * math.log10(b),
         mean_phase_cos=math.fsum(r.phase_cos for r in records) / n,
+        count=n,
+        std_ratio_sample=std_sample,
     )
 
 
