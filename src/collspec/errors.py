@@ -10,7 +10,7 @@ class NotOddPrime(VerificationError):
 
 
 class LimitTooLarge(VerificationError):
-    """Sieve limit above the configured memory bound."""
+    """Sieve limit or series truncation above its memory bound."""
 
 
 class WrongModulus(VerificationError):

@@ -33,9 +33,13 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import Character, Family, enumerate_family, gauss_sum
-from .errors import BadDiscriminant, CutoffTooShort, PrincipalCharacter
+from .errors import BadDiscriminant, CutoffTooShort, LimitTooLarge, PrincipalCharacter
 from .spectrum import _require_primitive_odd, bernoulli_b1, dual_transforms, spectrum_of
 from .unit_group import Level, build_unit_group, is_odd_prime
+
+
+# Series truncation bound: the harmonic sums hold one float per term.
+SERIES_LIMIT = 100_000_000
 
 
 class LMethod(enum.Enum):
@@ -89,6 +93,8 @@ def l_value_series(chi: Character, cutoff: int) -> LValue:
     q = chi.group.q
     if cutoff < q * q:
         raise CutoffTooShort(f"truncation {cutoff} too short; need at least q^2 = {q * q}")
+    if cutoff > SERIES_LIMIT:
+        raise LimitTooLarge(f"truncation {cutoff} exceeds the series bound {SERIES_LIMIT}")
     n_eff = -(-cutoff // q) * q
     harmonic = _harmonic_by_residue(q, n_eff)
     value = complex(np.dot(chi.values_by_residue(), harmonic))

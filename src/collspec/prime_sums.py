@@ -127,8 +127,8 @@ def verify_expansion(
     b: int, s: float, cutoff: int, primes: PrimeList | None = None
 ) -> PrimeSumRecord:
     """Check F0 = sum s0_hat * P term by term at the given truncation."""
-    if s <= 0:
-        raise ExponentOutOfRange(f"need s > 0, got {s}")
+    if not (math.isfinite(s) and s > 0):
+        raise ExponentOutOfRange(f"need a finite s > 0, got {s}")
     return _record(b, s, cutoff, primes)
 
 
@@ -136,6 +136,6 @@ def cross_moment_bound(
     b: int, s: float, cutoff: int, primes: PrimeList | None = None
 ) -> PrimeSumRecord:
     """Triangle-inequality bound |F0| <= (1/phi) sum |B1||S_G||P|."""
-    if s <= 0.5:
-        raise ExponentOutOfRange(f"need s > 0.5, got {s}")
+    if not (math.isfinite(s) and s > 0.5):
+        raise ExponentOutOfRange(f"need a finite s > 0.5, got {s}")
     return _record(b, s, cutoff, primes)

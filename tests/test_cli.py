@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from collspec import prime_sums
 from collspec.cli import main
 
 
@@ -40,6 +43,9 @@ def test_non_prime_base_is_usage_error(capsys):
         ("table1", "--base", "3"),  # packet statistics need b >= 5
         ("lvalue", "--base", "5", "--cutoff", "100"),  # series needs q^2 terms
         ("cross-moment", "--base", "5", "--s", "0.3"),  # bound needs s > 0.5
+        ("cross-moment", "--base", "5", "--s", "nan", "--cutoff", "2000"),  # s must be finite
+        ("sweep", "--bases", "3,5", "--s", "inf", "--cutoff", "2000"),
+        ("lvalue", "--base", "5", "--cutoff", "10000000000"),  # series above SERIES_LIMIT
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):
@@ -172,6 +178,23 @@ def test_expansion_two_verdicts(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [v["check"] for v in doc["verdicts"]] == ["expansion", "restriction"]
+
+
+def test_expansion_accepts_s_below_one_half(capsys):
+    # the expansion is a finite identity for every s > 0; only the bound needs s > 0.5
+    code, out, _ = run_main(capsys, "expansion", "--base", "3", "--s", "0.3", "--cutoff", "1000")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_nan_margin_fails(capsys, monkeypatch):
+    bound = prime_sums.cross_moment_bound
+    monkeypatch.setattr(prime_sums, "cross_moment_bound",
+                        lambda *args: dataclasses.replace(bound(*args), margin=math.nan))
+    code, out, _ = run_main(capsys, "cross-moment", "--base", "3", "--cutoff", "1000",
+                            "--format", "pretty")
+    assert code == 1
+    assert "[FAIL] cross-moment  worst=nan" in out
 
 
 def test_sweep_grid(capsys):
