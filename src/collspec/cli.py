@@ -100,7 +100,7 @@ def _row(b: int, record, **names: str | None) -> dict:
     chi_index becomes j; `names` renames further fields, or drops them
     when mapped to None.
     """
-    names = {"b": None, "chi_index": "j", **names}
+    names = {"chi_index": "j", **names}
     row = {"b": b}
     for f in fields(record):
         if (name := names.get(f.name, f.name)) is not None:

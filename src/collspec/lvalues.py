@@ -38,7 +38,7 @@ from .spectrum import _require_primitive_odd, bernoulli_b1, dual_transforms, spe
 from .unit_group import Level, build_unit_group, is_odd_prime
 
 
-# Series truncation bound: the harmonic sums hold one float per term.
+# Series truncation bound: building the harmonic sums peaks near 16 bytes a term.
 SERIES_LIMIT = 100_000_000
 
 

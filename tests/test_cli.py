@@ -189,9 +189,13 @@ def test_expansion_accepts_s_below_one_half(capsys):
 
 def test_nan_margin_fails(capsys, monkeypatch):
     bound = prime_sums.cross_moment_bound
-    monkeypatch.setattr(prime_sums, "cross_moment_bound",
-                        lambda *args: dataclasses.replace(bound(*args), margin=math.nan))
-    code, out, _ = run_main(capsys, "cross-moment", "--base", "3", "--cutoff", "1000",
+
+    def nan_at_5(b, *args):  # a NaN after a passing row must still fail
+        rec = bound(b, *args)
+        return dataclasses.replace(rec, margin=math.nan) if b == 5 else rec
+
+    monkeypatch.setattr(prime_sums, "cross_moment_bound", nan_at_5)
+    code, out, _ = run_main(capsys, "cross-moment", "--bases", "3,5", "--cutoff", "1000",
                             "--format", "pretty")
     assert code == 1
     assert "[FAIL] cross-moment  worst=nan" in out
