@@ -9,11 +9,14 @@ base, or of the whole run for the commands that pool their rows
 bases and builds the report.
 
 A verdict gates the worst residual of its rows against a tolerance; a
-NaN residual fails.  Rows hold plain values, complex ones included, and
-only the renderers write a complex z: as [re, im] in JSON, as
-<key>_re, <key>_im elsewhere.  Floats are written with 17 significant
-digits and rows in a fixed order, so re-running a command with the same
-configuration reproduces its report byte for byte.
+NaN residual fails.  Its rows are a column table (name -> numpy array)
+taken from the library's arrays or transposed from its result
+dataclasses.  All verdicts exist before the first byte is written; the
+renderers then format a column at a time, BLOCK_ROWS rows per block,
+and stream each block.  A complex column is [re, im] in JSON and
+<key>_re, <key>_im elsewhere; JSON writes a non-finite float as null.
+Floats carry 17 significant digits and rows a fixed order, so a rerun
+reproduces the report byte for byte.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
 configuration error (bad base, tolerance, cutoff or exponent).
@@ -27,22 +30,21 @@ Tolerances derive from t = --tol (default 1e-10): t/10 for vanishing
 coefficients, t/100 for vanishing diagonal sums, 10*t for the relative
 errors of moment and expansion checks; the decay table has a fixed band
 of 0.05.  The class-number verdict holds sqrt(b)|L|/pi within 1e-6 of
-the reduced-forms count.  lvalues.ROUNDING_GUARD = 1e-3 is a separate,
-looser bound: past it class_number_check raises instead of rounding.
+the reduced-forms count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
+from typing import TextIO
 
 import numpy as np
 
@@ -73,205 +75,201 @@ class Verdict:
     passed: bool
     worst_residual: float
     tolerance: float
-    details: tuple[dict, ...] = ()
+    # Column table: name -> array, a cell per row; masked cells are absent
+    # and a dotted name a.b is key b of the nested JSON object a.
+    details: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def rows(self) -> int:
+        return len(next(iter(self.details.values()), ()))
 
 
 @dataclass
 class Report:
     config: RunConfig
     verdicts: list[Verdict]
-    csv_columns: tuple[str, ...] | None = None  # None: union of row keys
 
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
 
-def _verdict(name: str, residuals: Iterable[float], tol: float, rows=()) -> Verdict:
+def _verdict(name: str, residuals, tol: float, details: dict | None = None) -> Verdict:
     """Gate the largest residual against tol; a NaN residual fails."""
-    residuals = list(residuals)
-    worst = math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
-    return Verdict(name, worst < tol, worst, tol, tuple(rows))
+    worst = float(np.max(np.asarray(residuals, dtype=float)))
+    return Verdict(name, worst < tol, worst, tol, details or {})
 
 
-def _row(b: int, record, **names: str | None) -> dict:
-    """A result dataclass as a report row headed by b.
+def _transpose(records: list, b: int | None = None, **names: str | None) -> dict:
+    """Result dataclasses as a column table headed by b, one column per field.
 
-    chi_index becomes j; `names` renames further fields, or drops them
-    when mapped to None.
+    chi_index becomes j; `names` renames further fields, or drops them when
+    mapped to None.  A None field is an absent cell.
     """
     names = {"chi_index": "j", **names}
-    row = {"b": b}
-    for f in fields(record):
+    columns = {} if b is None else {"b": np.full(len(records), b)}
+    for f in fields(records[0]):
         if (name := names.get(f.name, f.name)) is not None:
-            row[name] = getattr(record, f.name)
-    return row
+            cells = [getattr(r, f.name) for r in records]
+            columns[name] = np.ma.masked_array([0 if c is None else c for c in cells],
+                                               [c is None for c in cells])
+    return columns
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, bit for bit as Python's abs(complex); np.abs is not."""
+    return np.hypot(z.real, z.imag)
 
 
 # ====== checks: the verdicts of one base, or of a whole run ======
 
 
 def _check_decompose(b: int, cfg: RunConfig) -> list[Verdict]:
-    records = spectrum.verify_decomposition(b)
-    rows = []
-    for r in records:
-        residuals = {"decomposition": r.decomposition_residual}
-        if r.parity == "even" or not r.primitive:
-            residuals["s_hat_vanishing"] = abs(r.s_hat)
-        if r.parity == "odd" and not r.primitive:
-            residuals["S_G_vanishing"] = abs(r.S_G)
-        rows.append({**_row(b, r, decomposition_residual=None), "residuals": residuals})
-    worst = (r.decomposition_residual for r in records if r.parity == "odd" and r.primitive)
-    return [_verdict(f"decompose[b={b}]", worst, cfg.tolerance, rows)]
+    spec = spectrum.spectrum_of(b)
+    odd, primitive = spec.odd, spec.primitive
+    residual = spec.factorization_residual
+    details = {
+        "b": np.full(spec.group.phi, b), "j": np.arange(spec.group.phi),
+        "parity": np.where(odd, "odd", "even"), "primitive": primitive, "s_hat": spec.s_hat,
+        "B1": spec.B1, "S_G": spec.S_G, "P_short": spec.P_short,
+        "residuals.decomposition": residual,
+        "residuals.s_hat_vanishing": np.ma.masked_array(_abs(spec.s_hat), odd & primitive),
+        "residuals.S_G_vanishing": np.ma.masked_array(_abs(spec.S_G), ~odd | primitive),
+    }
+    return [_verdict(f"decompose[b={b}]", residual[odd & primitive], cfg.tolerance, details)]
 
 
 def _check_steps(b: int, cfg: RunConfig) -> list[Verdict]:
     group = build_unit_group(b, Level.MOD_B_SQUARED)
     reports = [spectrum.verify_proof_steps(b, chi)
                for chi in enumerate_family(group, Family.PRIMITIVE_ODD)]
-    rows = [{k.removesuffix("_residual"): v for k, v in _row(b, rep).items()}
-            for rep in reports]
-    worst = (rep.max_residual for rep in reports)
-    return [_verdict(f"steps[b={b}]", worst, cfg.tolerance, rows)]
+    columns = _transpose(reports, b).items()
+    return [_verdict(f"steps[b={b}]", [rep.max_residual for rep in reports], cfg.tolerance,
+                     {k.removesuffix("_residual"): v for k, v in columns})]
 
 
 def _check_vanishing(b: int, cfg: RunConfig) -> list[Verdict]:
-    rows = []
-    for r in spectrum.verify_decomposition(b):
-        if r.parity == "odd" and r.primitive:
-            continue
-        family = "even" if r.parity == "even" else "imprimitive-odd"
-        rows.append({"b": b, "j": r.chi_index, "family": family, "s_hat_abs": abs(r.s_hat)})
-        if r.parity == "odd":
-            rows[-1]["S_G_abs"] = abs(r.S_G)
+    spec = spectrum.spectrum_of(b)
+    js = np.flatnonzero(~(spec.odd & spec.primitive))
+    odd = spec.odd[js]
+    s_hat_abs, s_g_abs = _abs(spec.s_hat[js]), _abs(spec.S_G[js])
+    details = {
+        "b": np.full(len(js), b), "j": js, "family": np.where(odd, "imprimitive-odd", "even"),
+        "s_hat_abs": s_hat_abs, "S_G_abs": np.ma.masked_array(s_g_abs, ~odd),
+    }
     return [
-        _verdict(f"vanishing-s-hat[b={b}]", (row["s_hat_abs"] for row in rows),
-                 cfg.tolerance / 10, rows),
-        _verdict(f"vanishing-S-G[b={b}]", (row.get("S_G_abs", 0.0) for row in rows),
-                 cfg.tolerance / 100),
+        _verdict(f"vanishing-s-hat[b={b}]", s_hat_abs, cfg.tolerance / 10, details),
+        _verdict(f"vanishing-S-G[b={b}]", np.where(odd, s_g_abs, 0.0), cfg.tolerance / 100),
     ]
 
 
 def _check_moment(b: int, cfg: RunConfig) -> list[Verdict]:
     rep = spectrum.verify_moment(b)
-    return [_verdict(f"moment[b={b}]", (rep.rel_err, rep.parseval_rel_err),
-                     10 * cfg.tolerance, [_row(b, rep)])]
+    return [_verdict(f"moment[b={b}]", [rep.rel_err, rep.parseval_rel_err],
+                     10 * cfg.tolerance, _transpose([rep]))]
 
 
 def _check_encoding(b: int, cfg: RunConfig) -> list[Verdict]:
-    rows = [_row(b, er) for er in lvalues.verify_encoding(b)]
-    return [_verdict(f"encoding[b={b}]", (row["residual"] for row in rows), cfg.tolerance, rows)]
+    rows = lvalues.verify_encoding(b)
+    return [_verdict(f"encoding[b={b}]", [r.residual for r in rows], cfg.tolerance,
+                     _transpose(rows, b))]
 
 
 def _check_base5(b: int, cfg: RunConfig) -> list[Verdict]:
     rep = spectrum.verify_base5_identities(b)
+    details = _transpose(rep.rows, b)
     # Above the verified range the identity's status is open: report, gate nothing.
-    measured = {} if rep.in_verified_range else {"measured_only": True}
-    rows = [{**{k: v for k, v in _row(b, r).items() if v is not None}, **measured}
-            for r in rep.rows]
+    if measured := not rep.in_verified_range:
+        details["measured_only"] = np.full(len(rep.rows), True)
     name, worst = ("measured", 0.0) if measured else ("doubling", rep.max_doubling_residual)
-    verdicts = [_verdict(f"short-sum-{name}[b={b}]", [worst], cfg.tolerance, rows)]
+    verdicts = [_verdict(f"short-sum-{name}[b={b}]", [worst], cfg.tolerance, details)]
     if rep.max_sqrt5_residual is not None:
         verdicts.append(_verdict(f"short-sum-sqrt5[b={b}]", [rep.max_sqrt5_residual],
                                  cfg.tolerance))
     if rep.fourth_moment is not None:
         verdicts.append(_verdict(f"fourth-moment[b={b}]", [rep.fourth_moment.rel_err],
-                                 10 * cfg.tolerance, [_row(b, rep.fourth_moment)]))
+                                 10 * cfg.tolerance, _transpose([rep.fourth_moment], b)))
     return verdicts
 
 
 def _check_table1(b: int, cfg: RunConfig) -> list[Verdict]:
     stats = packet.packet_stats(b)
-    row = _row(b, stats, std_times_logb="std_ln_b", std_times_log10b="std_log10_b")
+    details = _transpose([stats], std_times_logb="std_ln_b", std_times_log10b="std_log10_b")
     if b not in packet.TABLE1_TARGETS:
-        return [_verdict(f"table1-measured[b={b}]", [0.0], packet.TABLE1_TOLERANCE, [row])]
+        return [_verdict(f"table1-measured[b={b}]", [0.0], packet.TABLE1_TOLERANCE, details)]
     mean_ref, std_ref = packet.TABLE1_TARGETS[b]
-    residuals = (abs(stats.mean_ratio - mean_ref), abs(stats.std_ratio - std_ref),
-                 abs(stats.mean_phase_cos))
-    return [_verdict(f"table1[b={b}]", residuals, packet.TABLE1_TOLERANCE, [row])]
+    residuals = [abs(stats.mean_ratio - mean_ref), abs(stats.std_ratio - std_ref),
+                 abs(stats.mean_phase_cos)]
+    return [_verdict(f"table1[b={b}]", residuals, packet.TABLE1_TOLERANCE, details)]
 
 
 def _check_packet(b: int, cfg: RunConfig) -> list[Verdict]:
     records = packet.packet_records(b)
-    rows = [{**_row(b, r), "probe": packet.probe_from_parts(r.L1, r.delta, r.P_short).ratio_to_P}
-            for r in records]
+    probes = [packet.probe_from_parts(r.L1, r.delta, r.P_short) for r in records]
+    details = {**_transpose(records, b),
+               **_transpose(probes, defined=None, ratio_to_P="probe")}
     broken = (len(records) != (b - 1) ** 2 // 2
               or any(r.twist_count != (b - 3) // 2 for r in records))
-    return [_verdict(f"packet[b={b}]", [float(broken)], cfg.tolerance, rows)]
+    return [_verdict(f"packet[b={b}]", [float(broken)], cfg.tolerance, details)]
 
 
 def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
     spec = spectrum.spectrum_of(b)
-    rows = []
-    for j, l_val, b1 in spec.columns(Family.PRIMITIVE_ODD, "L1", "B1"):
-        rows.append({
-            "b": b,
-            "j": j,
-            "L": l_val,
-            "L_abs": abs(l_val),
-            "B1_abs": abs(b1),
-            "magnitude_residual": abs(abs(b1) - b / math.pi * abs(l_val)),
-        })
-        if cfg.cutoff is not None:
-            series = lvalues.l_value_series(Character(spec.group, j), cfg.cutoff)
-            rows[-1].update(
-                series=series.value,
-                series_truncation=series.series_truncation,
-                tail_bound=series.tail_bound,
-                agreement_gap=max(0.0, abs(l_val - series.value) - series.tail_bound),
-            )
-    verdicts = [_verdict(f"lvalue-magnitude[b={b}]", (r["magnitude_residual"] for r in rows),
-                         cfg.tolerance, rows)]
-    if cfg.cutoff is not None:
-        verdicts.append(_verdict(f"lvalue-series[b={b}]", (r["agreement_gap"] for r in rows),
-                                 10 * cfg.tolerance))
-    return verdicts
+    js = spec.indices(Family.PRIMITIVE_ODD)
+    l1 = spec.L1[js]
+    l_abs, b1_abs = _abs(l1), _abs(spec.B1[js])
+    residual = np.abs(b1_abs - b / math.pi * l_abs)
+    details = {"b": np.full(len(js), b), "j": js, "L": l1, "L_abs": l_abs, "B1_abs": b1_abs,
+               "magnitude_residual": residual}
+    if cfg.cutoff is None:
+        return [_verdict(f"lvalue-magnitude[b={b}]", residual, cfg.tolerance, details)]
+    series = [lvalues.l_value_series(Character(spec.group, j), cfg.cutoff) for j in js.tolist()]
+    gaps = np.array([max(0.0, abs(l_val - s.value) - s.tail_bound)
+                     for l_val, s in zip(l1.tolist(), series)])
+    details.update(_transpose(series, value="series", chi_index=None, method=None),
+                   agreement_gap=gaps)
+    return [_verdict(f"lvalue-magnitude[b={b}]", residual, cfg.tolerance, details),
+            _verdict(f"lvalue-series[b={b}]", gaps, 10 * cfg.tolerance)]
 
 
 def _check_classnumber(cfg: RunConfig) -> list[Verdict]:
-    rows = []
-    for b in cfg.bases:
-        rec = lvalues.class_number_check(b)
-        rows.append({**_row(b, rec, discriminant="D"),
-                     "equal": rec.h_from_L == rec.h_from_forms})
-    residuals = (abs(r["pre_rounding"] - r["h_from_forms"]) for r in rows)
-    return [_verdict("classnumber", residuals, CLASSNUMBER_TOLERANCE, rows)]
+    records = [lvalues.class_number_check(b) for b in cfg.bases]
+    details = _transpose(records, discriminant="D")
+    details["equal"] = np.array([r.h_from_L == r.h_from_forms for r in records])
+    residuals = [abs(r.pre_rounding - r.h_from_forms) for r in records]
+    return [_verdict("classnumber", residuals, CLASSNUMBER_TOLERANCE, details)]
 
 
-def _prime_sum_rows(cfg: RunConfig, record: Callable) -> list[dict]:
+def _prime_sums(cfg: RunConfig, record: Callable) -> tuple[list, dict]:
     cutoff = DEFAULT_CUTOFF if cfg.cutoff is None else cfg.cutoff
-    return [_row(b, record(b, s, cutoff), cutoff="N", F_trunc="F", P_trunc=None)
-            for b in cfg.bases for s in cfg.s_values]
+    records = [record(b, s, cutoff) for b in cfg.bases for s in cfg.s_values]
+    return records, _transpose(records, cutoff="N", F_trunc="F", P_trunc=None)
 
 
 def _check_margin(check_name: str, cfg: RunConfig) -> list[Verdict]:
-    rows = _prime_sum_rows(cfg, prime_sums.cross_moment_bound)
-    shortfall = (0.0 if r["margin"] >= 0 else -r["margin"] for r in rows)
-    return [_verdict(check_name, shortfall, cfg.tolerance, rows)]
+    records, details = _prime_sums(cfg, prime_sums.cross_moment_bound)
+    shortfall = [0.0 if r.margin >= 0 else -r.margin for r in records]
+    return [_verdict(check_name, shortfall, cfg.tolerance, details)]
 
 
 def _check_expansion(cfg: RunConfig) -> list[Verdict]:
-    rows = _prime_sum_rows(cfg, prime_sums.verify_expansion)
-    return [
-        _verdict("expansion", (r["expansion_residual"] for r in rows), 10 * cfg.tolerance, rows),
-        _verdict("restriction", (r["restriction_residual"] for r in rows), cfg.tolerance),
-    ]
+    records, details = _prime_sums(cfg, prime_sums.verify_expansion)
+    return [_verdict("expansion", [r.expansion_residual for r in records], 10 * cfg.tolerance,
+                     details),
+            _verdict("restriction", [r.restriction_residual for r in records], cfg.tolerance)]
 
 
 def _check_dump_collision(b: int, cfg: RunConfig) -> list[Verdict]:
     table = collision.collision_invariant(build_unit_group(b, Level.MOD_B_SQUARED))
     # S0 = S0_num / b, printed in lowest terms as Fraction would print it.
     g = np.gcd(table.S0_num, b)
-    rows = [
-        {"a": a, "S": s, "S_centered_num": num, "S_centered_den": den}
-        for a, s, num, den in zip(table.units.tolist(), table.S.tolist(),
-                                  (table.S0_num // g).tolist(), (b // g).tolist())
-    ]
+    details = {"a": table.units, "S": table.S, "S_centered_num": table.S0_num // g,
+               "S_centered_den": b // g}
     coset_ok = not collision.coset_sums(b, table.units, table.S0_num).any()
     # a -> m - a reverses the ascending units.
     anti_ok = np.array_equal(table.S0_num[::-1], -table.S0_num)
     return [_verdict(f"collision-exactness[b={b}]", [float(not (coset_ok and anti_ok))],
-                     cfg.tolerance, rows)]
+                     cfg.tolerance, details)]
 
 
 # ====== the command table ======
@@ -285,7 +283,7 @@ class Command:
     flags: tuple[str, ...] = ()  # beyond COMMON_FLAGS
     bases: tuple[int, ...] = ()  # default bases; () makes --base/--bases required
     s_values: tuple[float, ...] = (1.2,)  # default exponents
-    columns: tuple[str, ...] | None = None  # CSV columns; None: union of row keys
+    columns: tuple[str, ...] | None = None  # CSV columns; None: union of the tables' columns
     single_base: bool = False
 
 
@@ -318,12 +316,14 @@ COMMANDS = {
     "sweep": Command("margin over a (b, s) grid", partial(_check_margin, "sweep-margin"),
                      whole_run=True, flags=PRIME_SUM_FLAGS,
                      bases=(5, 7, 13), s_values=(0.8, 1.0, 1.2, 1.5)),
-    "dump-collision": Command("CSV of S and S0", _check_dump_collision, single_base=True,
-                              columns=("a", "S", "S_centered_num", "S_centered_den")),
+    "dump-collision": Command("CSV of S and S0", _check_dump_collision, single_base=True),
 }
 
 
 # ====== deterministic serialization ======
+
+
+BLOCK_ROWS = 4096  # rows formatted and written at a time
 
 
 def fmt_float(x: float) -> str:
@@ -331,131 +331,131 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_value(v, indent: int) -> str:
-    pad = " " * indent
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(k)}: {_json_value(x, indent + 2)}' for k, x in v.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(v, complex):
-        return f"[{fmt_float(v.real)}, {fmt_float(v.imag)}]"
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-            return "[" + ", ".join(_json_value(x, 0) for x in v) + "]"
-        items = ",\n".join(f"{pad}  {_json_value(x, indent + 2)}" for x in v)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
+def _text(v, json_: bool) -> str:
+    """One value; None and, in JSON, a non-finite float are null."""
+    if v is None or json_ and isinstance(v, float) and not math.isfinite(v):
         return "null"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return fmt_float(v)
-    return json.dumps(v)
+    if isinstance(v, (bool, str)):  # true/false; a JSON string is quoted
+        return json.dumps(v) if json_ or isinstance(v, bool) else v
+    return fmt_float(v) if isinstance(v, float) else str(v)
 
 
-def _report_doc(report: Report) -> dict:
+def _texts(values: np.ndarray, json_: bool) -> list[str]:
+    """The cells of a column, formatted a whole column at a time."""
+    kind = values.dtype.kind
+    if kind == "c":  # JSON only; the other formats split complex columns
+        return list(map("[{}, {}]".format, _texts(values.real, json_), _texts(values.imag, json_)))
+    if kind == "f":
+        cells = list(map("{:.17g}".format, values.tolist()))  # fmt_float, minus a call
+        for i in np.flatnonzero(~np.isfinite(values)).tolist() if json_ else ():
+            cells[i] = "null"
+        return cells
+    if kind in "iu":
+        return list(map(str, values.tolist()))
+    # bool and str columns hold few distinct values: format each once
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([_text(v, json_) for v in distinct.tolist()], dtype=object)[inverse].tolist()
+
+
+def _flat(name: str, values: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """A column outside JSON: a complex one becomes <name>_re, <name>_im."""
+    if np.iscomplexobj(values):
+        return [(f"{name}_re", np.real(values)), (f"{name}_im", np.imag(values))]
+    return [(name, values)]
+
+
+def _block(details: dict, rows: slice, json_: bool, absent=None) -> list[tuple[str, list]]:
+    """(key, cells) of each column over rows; absent cells hold `absent`."""
+    out = []
+    for name, values in details.items():
+        for key, part in [(name, values[rows])] if json_ else _flat(name, values[rows]):
+            cells = _texts(np.ma.getdata(part), json_)
+            for i in np.flatnonzero(np.ma.getmaskarray(part)).tolist():
+                cells[i] = absent
+            out.append((key, cells))
+    return out
+
+
+def _objects(columns: list[tuple[str, list]], indent: int) -> list[str | None]:
+    """Per row, the JSON object of its present cells (None if there are none).
+    A dotted key a.b is key b of the nested object a."""
+    groups: dict[str, list] = {}
+    for key, cells in columns:
+        outer, dot, inner = key.partition(".")
+        groups.setdefault(outer, []).append((inner, cells) if dot else cells)
+    slots = []
+    for key, members in groups.items():
+        cells = _objects(members, indent + 2) if isinstance(members[0], tuple) else members[0]
+        prefix = f'{" " * (indent + 2)}{json.dumps(key)}: '
+        slots.append([c and prefix + c for c in cells])
+    return [f"{{\n{body}\n{' ' * indent}}}" if (body := ",\n".join(filter(None, row))) else None
+            for row in zip(*slots)]
+
+
+def render_json(report: Report, out: TextIO) -> None:
     cfg = report.config
-    return {
-        "command": cfg.command,
-        "config": {
-            "bases": list(cfg.bases),
-            "tolerance": cfg.tolerance,
-            "cutoff": cfg.cutoff,
-            "s": list(cfg.s_values),
-        },
-        "passed": report.passed,
-        "verdicts": [
-            {
-                "check": v.check_name,
-                "passed": v.passed,
-                "worst_residual": v.worst_residual,
-                "tolerance": v.tolerance,
-                "details": list(v.details),
-            }
-            for v in report.verdicts
-        ],
-    }
+    out.write(f'{{\n  "command": {json.dumps(cfg.command)},\n  "config": {{\n'
+              f'    "bases": [{", ".join(map(str, cfg.bases))}],\n'
+              f'    "tolerance": {_text(cfg.tolerance, True)},\n'
+              f'    "cutoff": {_text(cfg.cutoff, True)},\n'
+              f'    "s": [{", ".join(_text(s, True) for s in cfg.s_values)}]\n'
+              f'  }},\n  "passed": {_text(report.passed, True)},\n  "verdicts": [')
+    for i, v in enumerate(report.verdicts):
+        out.write(f'{"," if i else ""}\n    {{\n      "check": {json.dumps(v.check_name)},\n'
+                  f'      "passed": {_text(v.passed, True)},\n'
+                  f'      "worst_residual": {_text(v.worst_residual, True)},\n'
+                  f'      "tolerance": {_text(v.tolerance, True)},\n      "details": [')
+        for start in range(0, v.rows, BLOCK_ROWS):
+            objects = _objects(_block(v.details, slice(start, start + BLOCK_ROWS), True), 8)
+            out.write("," * bool(start) + ",".join(f"\n        {o or '{}'}" for o in objects))
+        out.write(("\n      ]" if v.rows else "]") + "\n    }")
+    out.write("\n  ]\n}\n")
 
 
-def render_json(report: Report) -> str:
-    return _json_value(_report_doc(report), 0) + "\n"
+def _csv_header(report: Report) -> list[str]:
+    """The union of the tables' columns that hold a cell; check first when
+    there are several verdicts."""
+    keys = [key for v in report.verdicts for name, values in v.details.items()
+            if not np.ma.getmaskarray(values).all() for key, _ in _flat(name, values)]
+    return list(dict.fromkeys(["check", *keys] if len(report.verdicts) > 1 and keys else keys))
 
 
-def _flat_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return fmt_float(v)
-    if v is None:
-        return ""
-    return str(v)
-
-
-def _flatten_row(row: dict) -> dict[str, str]:
-    flat: dict[str, str] = {}
-    for k, v in row.items():
-        if isinstance(v, complex):
-            flat[f"{k}_re"] = fmt_float(v.real)
-            flat[f"{k}_im"] = fmt_float(v.imag)
-        elif isinstance(v, dict):
-            for kk, vv in v.items():
-                flat[f"{k}.{kk}"] = _flat_cell(vv)
-        elif v is None:  # a complex value that is undefined for this row
-            flat[f"{k}_re"] = ""
-            flat[f"{k}_im"] = ""
-        else:
-            flat[k] = _flat_cell(v)
-    return flat
-
-
-def render_csv(report: Report) -> str:
-    flats = []
-    multi = len(report.verdicts) > 1
-    for v in report.verdicts:
-        for row in v.details:
-            flat = _flatten_row(row)
-            if multi and report.csv_columns is None:
-                flat = {"check": v.check_name, **flat}
-            flats.append(flat)
-    columns = report.csv_columns or dict.fromkeys(k for flat in flats for k in flat)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def render_csv(report: Report, out: TextIO) -> None:
+    columns = COMMANDS[report.config.command].columns or _csv_header(report)
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    for flat in flats:
-        writer.writerow([flat.get(k, "") for k in columns])
-    return buf.getvalue()
+    for v in report.verdicts:
+        for start in range(0, v.rows, BLOCK_ROWS):
+            k = min(BLOCK_ROWS, v.rows - start)
+            cells = {"check": [v.check_name] * k,
+                     **dict(_block(v.details, slice(start, start + k), False, ""))}
+            writer.writerows(zip(*(cells.get(key, [""] * k) for key in columns)))
 
 
 PRETTY_ROW_LIMIT = 12
 
 
-def render_pretty(report: Report) -> str:
+def render_pretty(report: Report, out: TextIO) -> None:
     cfg = report.config
     lines = [
         f"collspec {cfg.command}  bases={','.join(map(str, cfg.bases))}"
         f"  tol={fmt_float(cfg.tolerance)}"
     ]
     for v in report.verdicts:
+        n = v.rows
         flag = "PASS" if v.passed else "FAIL"
         lines.append(
             f"[{flag}] {v.check_name}  worst={v.worst_residual:.3e}"
-            f"  tol={v.tolerance:.1e}  rows={len(v.details)}"
+            f"  tol={v.tolerance:.1e}  rows={n}"
         )
-        if 0 < len(v.details) <= PRETTY_ROW_LIMIT:
-            for row in v.details:
-                cells = ", ".join(f"{k}={_flat_cell(x)}" for k, x in _flatten_row(row).items())
-                lines.append(f"    {cells}")
-        elif len(v.details) > PRETTY_ROW_LIMIT:
-            lines.append(f"    ({len(v.details)} rows; use --format csv or json)")
+        if 0 < n <= PRETTY_ROW_LIMIT:
+            keys, columns = zip(*_block(v.details, slice(0, n), json_=False))
+            lines += ["    " + ", ".join(f"{key}={c}" for key, c in zip(keys, row) if c is not None)
+                      for row in zip(*columns)]
+        elif n > PRETTY_ROW_LIMIT:
+            lines.append(f"    ({n} rows; use --format csv or json)")
     lines.append(f"overall {'PASS' if report.passed else 'FAIL'}")
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")
 
 
 _RENDERERS = {"json": render_json, "csv": render_csv, "pretty": render_pretty}
@@ -479,9 +479,8 @@ def run(cfg: RunConfig) -> int:
         verdicts = command.check(cfg)
     else:
         verdicts = [v for b in cfg.bases for v in command.check(b, cfg)]
-    report = Report(cfg, verdicts, command.columns)
+    report = Report(cfg, verdicts)
     fmt = _resolve_format(cfg)
-    text = _RENDERERS[fmt](report)
 
     path = cfg.out
     if path is None and os.environ.get(OUT_DIR_ENV):
@@ -489,10 +488,10 @@ def run(cfg: RunConfig) -> int:
             os.environ[OUT_DIR_ENV], f"{cfg.command}.{_EXTENSIONS[fmt]}"
         )
     if path is None:
-        sys.stdout.write(text)
+        _RENDERERS[fmt](report, sys.stdout)
     else:
         with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
+            _RENDERERS[fmt](report, fp)
         print(f"wrote {path}; overall {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 

@@ -63,6 +63,8 @@ def _primes_in_range(primes: PrimeList, m: int, cutoff: int) -> np.ndarray:
         raise ValueError(f"cutoff {cutoff} beyond sieve limit {primes.limit}")
     arr = primes.primes
     lo, hi = np.searchsorted(arr, m, side="right"), np.searchsorted(arr, cutoff, side="right")
+    if lo == hi:
+        raise CutoffBelowModulus(f"no prime in ({m}, {cutoff}]")
     return arr[lo:hi]
 
 
@@ -72,6 +74,8 @@ def _prime_terms(group: UnitGroup, s: float, cutoff: int,
     """p^{-s} and dlog p over q < p <= cutoff, shared by the phi characters of a record."""
     p_arr = _primes_in_range(primes, group.q, cutoff)
     terms = np.exp(-s * np.log(p_arr.astype(float))), group.dlog[p_arr % group.q]
+    if terms[0][0] == 0.0:  # the largest term: every term, and so every sum, would be 0
+        raise ExponentOutOfRange(f"at s = {s}, p^-s underflows to 0 from p = {p_arr[0]} on")
     for arr in terms:
         arr.flags.writeable = False
     return terms

@@ -32,11 +32,13 @@ S_G telescopes to psi(b) - psi(0) = 0 for the inducing character psi.
 
 spectrum_of computes every character at once: s0_hat, B1 and tau are
 one FFT each along the discrete-log axis a = g**t (float64, numpy's
-pocketfft).  Measured residuals on that route: factorization 3.8e-16,
-6.5e-16, 5.8e-16 and 9.0e-16 at b = 13, 43, 97 and 199; |s0_hat| on
-the vanishing families below 2.1e-16; |S_G| on imprimitive odd chi,
-summed term by term, up to 2.1e-15 at b = 199.  The arrays agree with
-the direct per-character sums within 1.2e-13 at b = 43.
+pocketfft), and Spectrum.factorization_residual holds the residual of
+the factorization for every chi.  Measured residuals on that route:
+factorization 3.8e-16, 6.5e-16, 5.8e-16 and 9.0e-16 at b = 13, 43, 97
+and 199; |s0_hat| on the vanishing families below 2.1e-16; |S_G| on
+imprimitive odd chi, summed term by term, up to 2.1e-15 at b = 199.
+The arrays agree with the direct per-character sums within 1.2e-13 at
+b = 43.
 """
 
 from __future__ import annotations
@@ -52,21 +54,6 @@ from .characters import Character, Family, _unit_phases, family_mask, roots_of_u
 from .collision import CollisionTable, DiagonalSet, collision_invariant, diagonal_set
 from .errors import NotPrimitiveOdd, WrongModulus
 from .unit_group import Level, UnitGroup, build_unit_group
-
-
-@dataclass(frozen=True)
-class SpectrumRecord:
-    """Everything verify_decomposition measures for one character."""
-
-    b: int
-    chi_index: int
-    parity: str  # "odd" | "even"
-    primitive: bool
-    s_hat: complex
-    B1: complex  # Bernoulli number of the conjugate character
-    S_G: complex
-    P_short: complex
-    decomposition_residual: float
 
 
 # ====== per-character direct sums (single-character API and test oracles) ======
@@ -176,6 +163,15 @@ class Spectrum:
         """Ascending j of a family, as enumerate_family orders it."""
         return np.flatnonzero(family_mask(family, self.odd, self.primitive))
 
+    @property
+    def factorization_residual(self) -> np.ndarray:
+        """|s0_hat + B1 * conj(S_G) / phi| for every j.
+
+        The factorization is asserted on the primitive odd entries; on the
+        vanishing families both terms vanish on their own.
+        """
+        return np.abs(self.s_hat + self.B1 * np.conj(self.S_G) / self.group.phi)
+
     def columns(self, family: Family, *names: str) -> list[tuple]:
         """(j, *fields) for each j of a family, as Python scalars."""
         idx = self.indices(family)
@@ -206,17 +202,6 @@ def spectrum_of(b: int) -> Spectrum:
     for arr in arrays.values():
         arr.flags.writeable = False
     return Spectrum(b=b, group=group, table=table, **arrays)
-
-
-def verify_decomposition(b: int) -> list[SpectrumRecord]:
-    """One record per character mod b**2, with the factorization residual."""
-    spec = spectrum_of(b)
-    residual = np.abs(spec.s_hat + spec.B1 * np.conj(spec.S_G) / spec.group.phi)
-    columns = spec.columns(Family.ALL, "odd", "primitive", "s_hat", "B1", "S_G", "P_short")
-    return [
-        SpectrumRecord(b, j, "odd" if odd else "even", primitive, s_hat, b1, s_g, p_short, res)
-        for (j, odd, primitive, s_hat, b1, s_g, p_short), res in zip(columns, residual.tolist())
-    ]
 
 
 # ====== step-by-step re-derivation ======

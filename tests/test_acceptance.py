@@ -22,8 +22,8 @@ from collspec.lvalues import class_number_check, series_family, verify_encoding
 from collspec.packet import TABLE1_FAMILY, TABLE1_TARGETS, packet_stats
 from collspec.prime_sums import verify_expansion
 from collspec.spectrum import (
+    spectrum_of,
     verify_base5_identities,
-    verify_decomposition,
     verify_moment,
     verify_proof_steps,
 )
@@ -48,9 +48,8 @@ def test_criterion_1_decomposition():
     t0 = time.perf_counter()
     worst = 0.0
     for b in DECOMPOSE_BASES:
-        for r in verify_decomposition(b):
-            if r.parity == "odd" and r.primitive:
-                worst = max(worst, r.decomposition_residual)
+        spec = spectrum_of(b)
+        worst = max(worst, spec.factorization_residual[spec.indices(Family.PRIMITIVE_ODD)].max())
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0
     report(1, "decomposition", ok, f"worst {worst:.2e}, {elapsed:.2f}s")
@@ -71,12 +70,11 @@ def test_criterion_2_proof_steps():
 def test_criterion_3_vanishing():
     worst_hat = worst_sg = 0.0
     for b in PRIMES_TO_43:
-        for r in verify_decomposition(b):
-            if r.parity == "even":
-                worst_hat = max(worst_hat, abs(r.s_hat))
-            elif not r.primitive:
-                worst_hat = max(worst_hat, abs(r.s_hat))
-                worst_sg = max(worst_sg, abs(r.S_G))
+        spec = spectrum_of(b)
+        vanishing = spec.indices(Family.EVEN), spec.indices(Family.IMPRIMITIVE_ODD)
+        for js in vanishing:
+            worst_hat = max(worst_hat, abs(spec.s_hat[js]).max())
+        worst_sg = max(worst_sg, abs(spec.S_G[vanishing[1]]).max())
     ok = worst_hat < 1e-11 and worst_sg < 1e-12
     report(3, "vanishing families", ok,
            f"coeff {worst_hat:.2e}, diag {worst_sg:.2e}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from collspec import prime_sums
+from collspec import lvalues, prime_sums
 from collspec.cli import main
 
 
@@ -16,6 +16,13 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def strict_json(text: str):
+    """json.loads that refuses the non-standard NaN/Infinity literals."""
+    def refuse(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_verify_decompose_passes(capsys):
@@ -46,6 +53,10 @@ def test_non_prime_base_is_usage_error(capsys):
         ("cross-moment", "--base", "5", "--s", "nan", "--cutoff", "2000"),  # s must be finite
         ("sweep", "--bases", "3,5", "--s", "inf", "--cutoff", "2000"),
         ("lvalue", "--base", "5", "--cutoff", "10000000000"),  # series above SERIES_LIMIT
+        ("cross-moment", "--base", "5", "--s", "1e300", "--cutoff", "2000"),  # p^-s underflows
+        ("cross-moment", "--base", "5", "--s", "300", "--cutoff", "2000"),
+        ("expansion", "--base", "5", "--s", "1e300", "--cutoff", "2000"),
+        ("cross-moment", "--base", "5", "--cutoff", "28"),  # no prime in (25, 28]
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):
@@ -195,10 +206,29 @@ def test_nan_margin_fails(capsys, monkeypatch):
         return dataclasses.replace(rec, margin=math.nan) if b == 5 else rec
 
     monkeypatch.setattr(prime_sums, "cross_moment_bound", nan_at_5)
-    code, out, _ = run_main(capsys, "cross-moment", "--bases", "3,5", "--cutoff", "1000",
-                            "--format", "pretty")
+    argv = ("cross-moment", "--bases", "3,5", "--cutoff", "1000", "--format")
+    code, out, _ = run_main(capsys, *argv, "pretty")
     assert code == 1
     assert "[FAIL] cross-moment  worst=nan" in out
+    code, out, _ = run_main(capsys, *argv, "json")
+    assert code == 1
+    verdict = strict_json(out)["verdicts"][0]  # NaN is written as null
+    assert verdict["passed"] is False and verdict["worst_residual"] is None
+    assert [row["margin"] is None for row in verdict["details"]] == [False, True]
+
+
+def test_broken_l_value_fails_classnumber(capsys, monkeypatch):
+    transforms = lvalues.dual_transforms
+
+    def scaled(group):  # L(1) off by 1%: h = round(raw) still matches, raw does not
+        b1, tau, l1 = transforms(group)
+        return b1, tau, 1.01 * l1
+
+    monkeypatch.setattr(lvalues, "dual_transforms", scaled)
+    code, out, err = run_main(capsys, "classnumber", "--bases", "7,11", "--format", "pretty")
+    assert code == 1
+    assert "[FAIL] classnumber" in out
+    assert "Traceback" not in out + err
 
 
 def test_sweep_grid(capsys):
@@ -256,7 +286,10 @@ def golden_path(argv, fmt: str) -> Path:
 def test_report_matches_golden(capsys, argv, code, fmt):
     got, out, _ = run_main(capsys, *argv, "--format", fmt)
     assert got == code
-    assert out.encode("utf-8") == golden_path(argv, fmt).read_bytes()
+    golden = golden_path(argv, fmt).read_bytes()
+    assert out.encode("utf-8") == golden
+    if fmt == "json":
+        strict_json(golden)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from collspec.characters import Character, Family, enumerate_family
 from collspec.errors import BadDiscriminant, NotPrimitiveOdd, PrincipalCharacter
 from collspec.lvalues import (
     LMethod,
+    _harmonic_by_residue,
     class_number_check,
     l_value_closed,
     l_value_series,
@@ -78,6 +80,19 @@ def test_series_guards():
         l_value_series(Character(g, 0), 10 ** 5)
     with pytest.raises(ValueError):
         l_value_series(Character(g, 1), 80)  # below q^2
+
+
+def test_series_memory_is_linear_in_q():
+    # summing all 10**7 terms at once would peak near 150 MB
+    chi = Character(build_unit_group(5, Level.MOD_B_SQUARED), 1)
+    _harmonic_by_residue.cache_clear()
+    tracemalloc.start()
+    try:
+        l_value_series(chi, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_max_partial_sum_bounds():

@@ -72,13 +72,12 @@ def test_expansion_identity_b5():
     }
 
 
-def test_no_primes_below_cutoff_gives_zeros():
-    # m = 9 < cutoff = 10 but no primes in (9, 10]
-    rec = verify_expansion(3, 1.2, 10)
-    assert rec.F_trunc == 0.0
-    assert all(v == 0 for v in rec.P_trunc.values())
-    assert rec.expansion_residual == 0.0
-    assert rec.margin == 0.0
+def test_no_primes_below_cutoff_is_refused():
+    # m = 9 < cutoff = 10 but no primes in (9, 10]: every sum would be vacuously 0
+    with pytest.raises(CutoffBelowModulus):
+        verify_expansion(3, 1.2, 10)
+    with pytest.raises(CutoffBelowModulus):
+        cross_moment_bound(3, 1.2, 10)
 
 
 def test_cutoff_guards():

@@ -20,7 +20,6 @@ from collspec.spectrum import (
     short_partial_sum,
     spectrum_of,
     verify_base5_identities,
-    verify_decomposition,
     verify_moment,
     verify_proof_steps,
 )
@@ -110,23 +109,22 @@ def test_short_partial_sum_b3():
 
 @pytest.mark.parametrize("b", [3, 5, 13])
 def test_decomposition_residuals(b):
-    records = verify_decomposition(b)
+    spec = spectrum_of(b)
     group = build_unit_group(b, Level.MOD_B_SQUARED)
-    assert len(records) == group.phi
-    prim_odd = [r for r in records if r.parity == "odd" and r.primitive]
+    assert spec.factorization_residual.shape == (group.phi,)
+    prim_odd = spec.indices(Family.PRIMITIVE_ODD)
     assert len(prim_odd) == (b - 1) ** 2 // 2
-    assert max(r.decomposition_residual for r in prim_odd) < 1e-12
+    assert spec.factorization_residual[prim_odd].max() < 1e-12
 
 
 @pytest.mark.parametrize("b", [3, 5, 7, 11, 13])
 def test_vanishing_families(b):
-    records = verify_decomposition(b)
-    for r in records:
-        if r.parity == "even":
-            assert abs(r.s_hat) < 1e-12
-        elif not r.primitive:
-            assert abs(r.s_hat) < 1e-12
-            assert abs(r.S_G) < 1e-13
+    spec = spectrum_of(b)
+    for j in spec.indices(Family.EVEN):
+        assert abs(spec.s_hat[j]) < 1e-12
+    for j in spec.indices(Family.IMPRIMITIVE_ODD):
+        assert abs(spec.s_hat[j]) < 1e-12
+        assert abs(spec.S_G[j]) < 1e-13
 
 
 @pytest.mark.parametrize("b", [5, 7])
