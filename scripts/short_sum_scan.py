@@ -25,8 +25,7 @@ def main(argv=None):
     for b in range(3, args.max_base + 1):
         if not is_odd_prime(b):
             continue
-        rep = verify_base5_identities(b)
-        worst = rep.max_doubling_residual
+        worst = verify_base5_identities(b)["doubling_residual"].max()
         if b <= DOUBLING_VERIFIED_MAX:
             note = "verified range" if worst < 1e-10 else "UNEXPECTED"
         else:

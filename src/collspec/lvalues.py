@@ -34,7 +34,7 @@ import numpy as np
 
 from .characters import Character, Family, enumerate_family, gauss_sum
 from .errors import BadDiscriminant, CutoffTooShort, LimitTooLarge, PrincipalCharacter
-from .spectrum import _require_primitive_odd, bernoulli_b1, dual_transforms, spectrum_of
+from .spectrum import _require_primitive_odd, bernoulli_b1, dual_transforms, magnitudes, spectrum_of
 from .unit_group import Level, build_unit_group, is_odd_prime
 
 
@@ -117,29 +117,14 @@ def l_value_series(chi: Character, cutoff: int) -> LValue:
 # ====== L-encoding of the spectrum ======
 
 
-@dataclass(frozen=True)
-class EncodingRow:
-    chi_index: int
-    s_hat_abs: float
-    predicted: float  # (b / (pi * phi)) * |L(1, chi)| * |S_G(chi)|
-    residual: float
-
-
-def verify_encoding(b: int) -> list[EncodingRow]:
-    """|s0_hat| = (b/(pi*phi)) |L(1,chi)| |S_G(chi)| per primitive odd chi."""
+def verify_encoding(b: int) -> dict[str, np.ndarray]:
+    """|s0_hat| = (b/(pi*phi)) |L(1,chi)| |S_G(chi)|, as columns b, j over the primitive odd j."""
     spec = spectrum_of(b)
-    rows = []
-    for j, s_hat, l_val, s_g in spec.columns(Family.PRIMITIVE_ODD, "s_hat", "L1", "S_G"):
-        predicted = b / (math.pi * spec.group.phi) * abs(l_val) * abs(s_g)
-        rows.append(
-            EncodingRow(
-                chi_index=j,
-                s_hat_abs=abs(s_hat),
-                predicted=predicted,
-                residual=abs(abs(s_hat) - predicted),
-            )
-        )
-    return rows
+    js = spec.indices(Family.PRIMITIVE_ODD)
+    s_hat_abs = magnitudes(spec.s_hat[js])
+    predicted = b / (math.pi * spec.group.phi) * magnitudes(spec.L1[js]) * magnitudes(spec.S_G[js])
+    return {"b": np.full(len(js), b), "j": js, "s_hat_abs": s_hat_abs, "predicted": predicted,
+            "residual": np.abs(s_hat_abs - predicted)}
 
 
 # ====== class numbers via reduced forms ======

@@ -107,10 +107,12 @@ def _record(b: int, s: float, cutoff: int, primes: PrimeList | None) -> PrimeSum
     f_val = f_trunc(spec.table, s, cutoff, primes)
 
     p_val = [p_trunc(Character(group, j), s, cutoff, primes) for j in range(group.phi)]
-    expansion_all = sum((h * p for h, p in zip(spec.s_hat.tolist(), p_val)), 0j)
-    prim_odd = spec.columns(Family.PRIMITIVE_ODD, "s_hat", "B1", "S_G")
-    expansion_prim_odd = sum((h * p_val[j] for j, h, _, _ in prim_odd), 0j)
-    bound_terms = (abs(b1) * abs(s_g) * abs(p_val[j]) for j, _, b1, s_g in prim_odd)
+    # Python scalars summed in order: a numpy sum would reorder the terms.
+    s_hat, b1, s_g = spec.s_hat.tolist(), spec.B1.tolist(), spec.S_G.tolist()
+    expansion_all = sum((h * p for h, p in zip(s_hat, p_val)), 0j)
+    js = spec.indices(Family.PRIMITIVE_ODD).tolist()
+    expansion_prim_odd = sum((s_hat[j] * p_val[j] for j in js), 0j)
+    bound_terms = (abs(b1[j]) * abs(s_g[j]) * abs(p_val[j]) for j in js)
     bound_rhs = math.fsum(bound_terms) / group.phi
     bound_lhs = abs(f_val)
     return PrimeSumRecord(
@@ -118,7 +120,7 @@ def _record(b: int, s: float, cutoff: int, primes: PrimeList | None) -> PrimeSum
         s=s,
         cutoff=cutoff,
         F_trunc=f_val,
-        P_trunc={j: p_val[j] for j, *_ in prim_odd},
+        P_trunc={j: p_val[j] for j in js},
         expansion_residual=abs(f_val - expansion_prim_odd),
         restriction_residual=abs(expansion_all - expansion_prim_odd),
         bound_lhs=bound_lhs,

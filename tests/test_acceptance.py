@@ -16,7 +16,7 @@ import math
 import time
 from fractions import Fraction
 
-from collspec.characters import Family, enumerate_family
+from collspec.characters import Family
 from collspec.collision import collision_invariant, diagonal_set
 from collspec.lvalues import class_number_check, series_family, verify_encoding
 from collspec.packet import TABLE1_FAMILY, TABLE1_TARGETS, packet_stats
@@ -24,6 +24,7 @@ from collspec.prime_sums import verify_expansion
 from collspec.spectrum import (
     spectrum_of,
     verify_base5_identities,
+    verify_fourth_moment,
     verify_moment,
     verify_proof_steps,
 )
@@ -59,9 +60,8 @@ def test_criterion_1_decomposition():
 def test_criterion_2_proof_steps():
     worst = 0.0
     for b in PRIMES_TO_13:
-        group = build_unit_group(b, Level.MOD_B_SQUARED)
-        for chi in enumerate_family(group, Family.PRIMITIVE_ODD):
-            worst = max(worst, verify_proof_steps(b, chi).max_residual)
+        steps = verify_proof_steps(b)
+        worst = max(worst, max(v.max() for k, v in steps.items() if k not in ("b", "j")))
     ok = worst < 1e-10
     report(2, "proof steps", ok, f"worst {worst:.2e}")
     assert ok
@@ -94,7 +94,7 @@ def test_criterion_4_moment():
 def test_criterion_5_encoding():
     worst = 0.0
     for b in PRIMES_TO_43:
-        worst = max(worst, max(r.residual for r in verify_encoding(b)))
+        worst = max(worst, verify_encoding(b)["residual"].max())
     ok = worst < 1e-10
     report(5, "L-encoding", ok, f"worst {worst:.2e}")
     assert ok
@@ -104,14 +104,12 @@ def test_criterion_6_short_sums():
     worst_doubling = 0.0
     for b in PRIMES_TO_13:
         worst_doubling = max(worst_doubling,
-                             verify_base5_identities(b).max_doubling_residual)
-    rep5 = verify_base5_identities(5)
-    ok = (worst_doubling < 1e-10
-          and rep5.max_sqrt5_residual < 1e-10
-          and rep5.fourth_moment.rel_err < 1e-9)
+                             verify_base5_identities(b)["doubling_residual"].max())
+    sqrt5 = verify_base5_identities(5)["sqrt5_residual"].max()
+    fourth = verify_fourth_moment()
+    ok = worst_doubling < 1e-10 and sqrt5 < 1e-10 and fourth.rel_err < 1e-9
     report(6, "short-sum identities", ok,
-           f"doubling {worst_doubling:.2e}, sqrt5 {rep5.max_sqrt5_residual:.2e}, "
-           f"fourth {rep5.fourth_moment.rel_err:.2e}")
+           f"doubling {worst_doubling:.2e}, sqrt5 {sqrt5:.2e}, fourth {fourth.rel_err:.2e}")
     assert ok
 
 

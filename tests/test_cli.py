@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -57,6 +58,8 @@ def test_non_prime_base_is_usage_error(capsys):
         ("cross-moment", "--base", "5", "--s", "300", "--cutoff", "2000"),
         ("expansion", "--base", "5", "--s", "1e300", "--cutoff", "2000"),
         ("cross-moment", "--base", "5", "--cutoff", "28"),  # no prime in (25, 28]
+        ("verify", "decompose", "--base", "5", "--out", "no-such-dir/x.json"),
+        ("verify", "decompose", "--base", "5", "--out", "."),  # a directory
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):
@@ -66,6 +69,31 @@ def test_bad_input_is_usage_error(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_unwritable_out_dir_is_usage_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLLSPEC_OUT_DIR", str(tmp_path / "no-such-dir"))
+    code, out, err = run_main(capsys, "verify", "decompose", "--base", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: FileNotFoundError") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (("dump-collision", "--base", "97", "--format", "csv"), 1),  # more than a pipe buffer
+    (("verify", "vanishing", "--base", "3"), 0),  # written by the final flush
+])
+def test_closed_pipe_is_usage_error(argv, lines):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # block-buffered
+    proc = subprocess.Popen([sys.executable, "-m", "collspec", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith("error: BrokenPipeError") and "Traceback" not in err
 
 
 def test_bad_tol_is_usage_error(capsys):
@@ -87,6 +115,12 @@ def test_failing_check_exits_1(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["passed"] is False
+
+
+def test_doubling_is_gated_up_to_its_verified_range(capsys):
+    _, out, _ = run_main(capsys, "verify", "base5", "--bases", "13,17")
+    names = [v["check"] for v in json.loads(out)["verdicts"]]
+    assert names == ["short-sum-doubling[b=13]", "short-sum-measured[b=17]"]
 
 
 def test_table1_known_good_base(capsys):

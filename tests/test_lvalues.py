@@ -16,7 +16,7 @@ from collspec.lvalues import (
     series_family,
     verify_encoding,
 )
-from collspec.spectrum import bernoulli_b1
+from collspec.spectrum import bernoulli_b1, spectrum_of
 from collspec.unit_group import Level, build_unit_group
 
 
@@ -112,9 +112,19 @@ def test_series_family_shapes():
 
 @pytest.mark.parametrize("b", [3, 5, 7, 13])
 def test_encoding_rows(b):
-    rows = verify_encoding(b)
-    assert len(rows) == (b - 1) ** 2 // 2
-    assert max(r.residual for r in rows) < 1e-12
+    columns = verify_encoding(b)
+    assert list(columns) == ["b", "j", "s_hat_abs", "predicted", "residual"]
+    assert len(columns["j"]) == (b - 1) ** 2 // 2
+    assert columns["residual"].max() < 1e-12
+    # np.hypot is Python's abs(complex) bit for bit, so the columns equal
+    # the per-character arithmetic exactly.
+    spec = spectrum_of(b)
+    for row, j in enumerate(columns["j"].tolist()):
+        s_hat, l_val, s_g = complex(spec.s_hat[j]), complex(spec.L1[j]), complex(spec.S_G[j])
+        predicted = b / (math.pi * spec.group.phi) * abs(l_val) * abs(s_g)
+        assert columns["s_hat_abs"][row] == abs(s_hat)
+        assert columns["predicted"][row] == predicted
+        assert columns["residual"][row] == abs(abs(s_hat) - predicted)
 
 
 def test_reduced_forms_7():

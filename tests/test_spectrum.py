@@ -2,16 +2,21 @@
 factorization, its proof steps, and the moment identity."""
 
 import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
+from collspec import spectrum
 from collspec.characters import Character, Family, companion_mod_b, enumerate_family, gauss_sum
-from collspec.collision import collision_invariant
-from collspec.errors import NotPrimitiveOdd, WrongModulus
+from collspec.collision import collision_invariant, diagonal_set
+from collspec.errors import WrongModulus
 from collspec.lvalues import l_value_closed
 from collspec.spectrum import (
     DOUBLING_VERIFIED_MAX,
+    _require_primitive_odd,
     bernoulli_b1,
     centered_square_sum,
     diagonal_sum,
@@ -20,15 +25,114 @@ from collspec.spectrum import (
     short_partial_sum,
     spectrum_of,
     verify_base5_identities,
+    verify_fourth_moment,
     verify_moment,
     verify_proof_steps,
 )
-from collspec.unit_group import Level, build_unit_group
+from collspec.unit_group import Level, UnitGroup, build_unit_group
 
 SMALL_BASES = (3, 5, 7, 11, 13)
 G9 = build_unit_group(3, Level.MOD_B_SQUARED)
 G3 = build_unit_group(3, Level.MOD_B)
 T9 = collision_invariant(G9)
+STEP_NAMES = ("centering", "constant", "fractional", "floor", "lemma", "slice",
+              "endpoint_bottom", "endpoint_top", "total")
+
+
+# ====== oracle: the proof steps one character at a time ======
+
+
+@dataclass(frozen=True)
+class ProofStepReport:
+    """Residuals of the individual steps behind the factorization.
+
+    All fields are absolute values of float sums that are exactly zero
+    in the underlying algebra, except floor/lemma/slice/total which
+    compare two computed quantities.
+    """
+
+    b: int
+    chi_index: int
+    centering_residual: float  # sum_a mean(a mod b) conj(chi(a))
+    constant_residual: float  # sum_a conj(chi(a))
+    fractional_residual: float  # sum_a {a/b} conj(chi(a))
+    floor_residual: float  # sum_a floor(a/b) conj(chi(a))  vs  b*B1
+    lemma_residual: float  # max_n |sum_a conj(chi(a)){na/m} - chi(n)B1|
+    slice_residual: float  # max interior n: sum_a d_n(a)conj(chi(a)) vs (1+chi(n)-chi(n+1))B1
+    endpoint_bottom_residual: float  # max_a |d_0(a)|, exact integers
+    endpoint_top_residual: float  # |sum_a d_{m-1}(a) conj(chi(a))|
+    total_residual: float  # sum_a S(a) conj(chi(a))  vs  -B1*conj(S_G)
+
+    @property
+    def max_residual(self) -> float:
+        return max(getattr(self, f.name) for f in fields(self) if f.name.endswith("_residual"))
+
+
+@lru_cache(maxsize=4)
+def _fractional_matrix(group: UnitGroup) -> np.ndarray:
+    """{n*a/m} for all unit pairs (n, a); exact small rationals in float."""
+    u = group.units
+    mat = (u[:, None] * u[None, :] % group.q) / group.q
+    mat.flags.writeable = False
+    return mat
+
+
+def per_character_proof_steps(b: int, chi: Character) -> ProofStepReport:
+    """Re-derive the factorization for one primitive odd chi, slice by slice."""
+    _require_primitive_odd(chi)
+    group = chi.group
+    if group.q != group.b**2:
+        raise WrongModulus("proof steps run on the mod-b**2 group")
+    m, phi = group.q, group.phi
+    table = spectrum_of(b).table
+    units = group.units
+    chibar = np.conj(chi.values_on_units())
+    b1 = bernoulli_b1(chi)
+
+    means = table.class_sums[units % b] / b
+    centering = abs(complex(np.dot(means, chibar)))
+    constant = abs(complex(chibar.sum()))
+    fractional = abs(complex(np.dot((units % b) / b, chibar)))
+    floor_test = abs(complex(np.dot((units // b).astype(float), chibar)) - b * b1)
+
+    # Lemma: sum_a conj(chi(a)) {n a / m} = chi(n) B1, for every unit n.
+    chi_vals = chi.values_on_units()
+    lemma_vec = _fractional_matrix(group) @ chibar
+    lemma = float(np.max(np.abs(lemma_vec - chi_vals * b1)))
+
+    # Interior diagonal slices; endpoints handled separately below.
+    diag = diagonal_set(b).members
+    slice_worst = 0.0
+    for n in diag:
+        if n == 0 or n == m - 1:
+            continue
+        d_n = (n + 1) * units // m - n * units // m
+        lhs = complex(np.dot(d_n.astype(float), chibar))
+        rhs = (1 + chi.value(n) - chi.value(n + 1)) * b1
+        slice_worst = max(slice_worst, abs(lhs - rhs))
+
+    d_bottom = units // m  # d_0(a) = floor(a/m), identically zero here
+    bottom = float(np.max(np.abs(d_bottom)))
+    d_top = m * units // m - (m - 1) * units // m
+    top = abs(complex(np.dot(d_top.astype(float), chibar)))
+
+    s_g = diagonal_sum(chi)
+    s_vals = table.S.astype(float)
+    total = abs(complex(np.dot(s_vals, chibar)) + b1 * s_g.conjugate())
+
+    return ProofStepReport(
+        b=b,
+        chi_index=chi.index,
+        centering_residual=centering,
+        constant_residual=constant,
+        fractional_residual=fractional,
+        floor_residual=floor_test,
+        lemma_residual=lemma,
+        slice_residual=slice_worst,
+        endpoint_bottom_residual=bottom,
+        endpoint_top_residual=top,
+        total_residual=total,
+    )
 
 
 def test_hand_coefficient_b3():
@@ -129,18 +233,32 @@ def test_vanishing_families(b):
 
 @pytest.mark.parametrize("b", [5, 7])
 def test_proof_steps(b):
-    group = build_unit_group(b, Level.MOD_B_SQUARED)
-    for chi in enumerate_family(group, Family.PRIMITIVE_ODD):
-        rep = verify_proof_steps(b, chi)
-        assert rep.max_residual < 1e-12
-        assert rep.endpoint_bottom_residual == 0.0  # d_0 is identically zero
+    steps = verify_proof_steps(b)
+    assert list(steps) == ["b", "j", *STEP_NAMES]
+    assert (steps["b"] == b).all()
+    assert steps["j"].tolist() == spectrum_of(b).indices(Family.PRIMITIVE_ODD).tolist()
+    assert max(steps[name].max() for name in STEP_NAMES) < 1e-12
+    assert not steps["endpoint_bottom"].any()  # d_0 is identically zero
 
 
-def test_proof_steps_reject_non_primitive():
-    with pytest.raises(NotPrimitiveOdd):
-        verify_proof_steps(3, Character(G9, 2))
-    with pytest.raises(NotPrimitiveOdd):
-        verify_proof_steps(3, Character(G9, 3))
+@pytest.mark.parametrize("b", [5, 7, 11, 13])
+def test_proof_steps_match_per_character_oracle(b):
+    steps = verify_proof_steps(b)
+    group = spectrum_of(b).group
+    for row, j in enumerate(steps["j"].tolist()):
+        rep = per_character_proof_steps(b, Character(group, j))
+        for name in STEP_NAMES:
+            assert abs(steps[name][row] - getattr(rep, f"{name}_residual")) < 1e-12, (j, name)
+
+
+def test_lemma_blocks_agree_with_one_block(monkeypatch):
+    # Blocks of 5 units and 5 characters leave a partial block on both axes
+    # (phi = 42, 18 characters at b = 7); a misaligned block would put an
+    # error of order |B1| into some row.
+    whole = verify_proof_steps(7)["lemma"]
+    monkeypatch.setattr(spectrum, "LEMMA_BLOCK", 5 * 42)
+    blocked = verify_proof_steps(7)["lemma"]
+    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-13)
 
 
 def test_moment_b3_exact_target():
@@ -166,17 +284,26 @@ def test_centered_square_sum_b3():
 
 @pytest.mark.parametrize("b", [3, 5, 7, 11, 13])
 def test_short_sum_doubling(b):
-    rep = verify_base5_identities(b)
-    assert rep.in_verified_range
-    assert rep.max_doubling_residual < 1e-12
+    assert b <= DOUBLING_VERIFIED_MAX
+    columns = verify_base5_identities(b)
+    assert columns["doubling_residual"].max() < 1e-12
+    # np.hypot is Python's abs(complex) bit for bit, so the columns equal
+    # the per-character arithmetic exactly.
+    spec = spectrum_of(b)
+    for row, j in enumerate(columns["j"].tolist()):
+        s_g, p_short, b1 = (complex(spec.S_G[j]), complex(spec.P_short[j]), complex(spec.B1[j]))
+        assert columns["S_G_abs"][row] == abs(s_g)
+        assert columns["doubling_residual"][row] == abs(abs(s_g) - 2 * abs(p_short))
+        if b == 5:
+            assert columns["sqrt5_residual"][row] == abs(abs(p_short) - math.sqrt(5) / 2 * abs(b1))
 
 
 def test_base5_extras():
-    rep = verify_base5_identities(5)
-    assert rep.max_sqrt5_residual < 1e-12
-    assert rep.fourth_moment.rel_err < 1e-12
+    assert verify_base5_identities(5)["sqrt5_residual"].max() < 1e-12
+    fourth = verify_fourth_moment()
+    assert fourth.rel_err < 1e-12
     # the constant: 4 pi^4 / 625
-    assert rep.fourth_moment.rhs == pytest.approx(
+    assert fourth.rhs == pytest.approx(
         4 * math.pi ** 4 / 625 * float(centered_square_sum(
             collision_invariant(build_unit_group(5, Level.MOD_B_SQUARED))
         ))
@@ -185,11 +312,9 @@ def test_base5_extras():
 
 def test_beyond_doubling_range_is_reported_not_gated():
     assert DOUBLING_VERIFIED_MAX == 13
-    rep = verify_base5_identities(17)
-    assert not rep.in_verified_range
-    assert rep.fourth_moment is None
-    assert rep.max_sqrt5_residual is None
-    assert len(rep.rows) == (17 - 1) ** 2 // 2
+    columns = verify_base5_identities(17)
+    assert list(columns) == ["b", "j", "S_G_abs", "P_short_abs", "doubling_residual"]
+    assert len(columns["j"]) == (17 - 1) ** 2 // 2
 
 
 # ====== the Spectrum arrays against the per-character direct sums ======

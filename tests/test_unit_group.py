@@ -105,12 +105,15 @@ def _trial_primes(n):
 def test_sieve_small():
     assert list(sieve_primes(10).primes) == [2, 3, 5, 7]
     assert list(sieve_primes(2).primes) == [2]
+    assert list(sieve_primes(3).primes) == [2, 3]
+    assert list(sieve_primes(4).primes) == [2, 3]
+    assert list(sieve_primes(9).primes) == [2, 3, 5, 7]
     assert len(sieve_primes(100)) == 25
     assert sieve_primes(100).primes[-1] == 97
 
 
 def test_sieve_matches_trial_division():
-    assert list(sieve_primes(500).primes) == _trial_primes(500)
+    assert list(sieve_primes(10 ** 4).primes) == _trial_primes(10 ** 4)
 
 
 def test_sieve_limits():
