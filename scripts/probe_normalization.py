@@ -21,7 +21,7 @@ import cmath
 import math
 import sys
 
-from collspec.packet import packet_records, probe_from_parts
+from collspec.packet import packet_records, probes
 
 
 def main(argv=None):
@@ -34,14 +34,13 @@ def main(argv=None):
         print(f"--- b = {b}   (candidates: 1/b = {1 / b:.4f}, "
               f"1/sqrt(b) = {1 / math.sqrt(b):.4f}, 1 = 1.0000)")
         mags = []
-        for r in packet_records(b):
-            probe = probe_from_parts(r.L1, r.delta, r.P_short)
-            if not probe.defined:
-                print(f"  j={r.chi_index:>3}:  P below floor, probe UNDEFINED")
+        records = packet_records(b)
+        for j, probe in zip(records["j"].tolist(), probes(records).tolist()):
+            if probe is None:  # masked: |P| at or below the floor
+                print(f"  j={j:>3}:  P below floor, probe UNDEFINED")
                 continue
-            mags.append(abs(probe.ratio_to_P))
-            print(f"  j={r.chi_index:>3}:  |probe| = {abs(probe.ratio_to_P):7.4f}  "
-                  f"arg = {cmath.phase(probe.ratio_to_P):+7.4f}")
+            mags.append(abs(probe))
+            print(f"  j={j:>3}:  |probe| = {abs(probe):7.4f}  arg = {cmath.phase(probe):+7.4f}")
         if mags:
             spread = max(mags) / min(mags)
             print(f"  magnitude range [{min(mags):.4f}, {max(mags):.4f}]  "

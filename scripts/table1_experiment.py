@@ -65,13 +65,13 @@ def check_series(b, records, terms=2_000_000):
     n = np.arange(1, n_eff + 1)
     cosine = np.cos(2 * np.pi * n / b)
     worst = {True: 0.0, False: 0.0}
-    for rec in records:
-        chi = Character(group, rec.chi_index)
+    for j, l1, delta in zip(*(records[k].tolist() for k in ("j", "L1", "delta"))):
+        chi = Character(group, j)
         vals = chi.conjugate().values_by_residue()
         t_sum = complex(np.sum(vals[n % q] * cosine / n))
-        alt = 1j * t_sum + 1j * rec.L1 / (b - 1)
+        alt = 1j * t_sum + 1j * l1 / (b - 1)
         primitive = chi.is_primitive()
-        worst[primitive] = max(worst[primitive], abs(alt - rec.delta))
+        worst[primitive] = max(worst[primitive], abs(alt - delta))
     return worst[True], worst[False]
 
 
@@ -87,11 +87,11 @@ def main(argv=None):
     print("-" * 99)
     for b in sorted(TABLE1_TARGETS):
         records = packet_records(b)
-        stated = [r.ratio for r in records]
-        variant = [abs(r.delta - 1j * r.L1 / (b - 1)) / abs(r.L1) for r in records]
-        m1, sp1, ss1 = moments(stated)
+        l1, delta = records["L1"].tolist(), records["delta"].tolist()
+        variant = [abs(d - 1j * l / (b - 1)) / abs(l) for l, d in zip(l1, delta)]
+        m1, sp1, ss1 = moments(records["ratio"].tolist())
         m2, sp2, _ = moments(variant)
-        m3, sp3, _ = moments([r.ratio for r in packet_records(b, TABLE1_FAMILY)])
+        m3, sp3, _ = moments(packet_records(b, TABLE1_FAMILY)["ratio"].tolist())
         mref, sref = TABLE1_TARGETS[b]
         print(f"{b:>3} | {flag(m1, mref)} {flag(sp1, sref)} {flag(ss1, sref)} | "
               f"{flag(m2, mref)} {flag(sp2, sref)} | {flag(m3, mref)} {flag(sp3, sref)} | "

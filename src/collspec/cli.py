@@ -9,14 +9,14 @@ base, or of the whole run for the commands that pool their rows
 bases and builds the report.
 
 A verdict gates the worst residual of its rows against a tolerance; a
-NaN residual fails.  Its rows are a column table (name -> numpy array)
-taken from the library's arrays or transposed from its result
-dataclasses.  All verdicts exist before the first byte is written; the
-renderers then format a column at a time, BLOCK_ROWS rows per block,
-and stream each block.  A complex column is [re, im] in JSON and
-<key>_re, <key>_im elsewhere; JSON writes a non-finite float as null.
-Floats carry 17 significant digits and rows a fixed order, so a rerun
-reproduces the report byte for byte.
+NaN residual fails.  Its rows are a column table (name -> numpy array):
+the library's columns, or its dicts of scalars stacked a row per dict.
+All verdicts exist before the first byte is written; the renderers then
+format a column at a time, BLOCK_ROWS rows per block, and stream each
+block.  A complex column is [re, im] in JSON and <key>_re, <key>_im
+elsewhere; JSON writes a non-finite float as null.  Floats carry 17
+significant digits and rows a fixed order, so a rerun reproduces the
+report byte for byte.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
 configuration error (bad base, tolerance, cutoff or exponent, or a
@@ -43,7 +43,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import TextIO
 
@@ -53,7 +53,7 @@ from . import collision, lvalues, packet, prime_sums, spectrum
 from .characters import Character, Family
 from .errors import VerificationError, NotOddPrime
 from .spectrum import magnitudes
-from .unit_group import Level, build_unit_group, is_odd_prime
+from .unit_group import Level, build_unit_group, is_odd_prime, sieve_primes
 
 OUT_DIR_ENV = "COLLSPEC_OUT_DIR"
 DEFAULT_CUTOFF = 1_000_000
@@ -102,20 +102,9 @@ def _verdict(name: str, residuals, tol: float, details: dict | None = None) -> V
     return Verdict(name, worst < tol, worst, tol, details or {})
 
 
-def _transpose(records: list, b: int | None = None, **names: str | None) -> dict:
-    """Result dataclasses as a column table headed by b, one column per field.
-
-    chi_index becomes j; `names` renames further fields, or drops them when
-    mapped to None.  A None field is an absent cell.
-    """
-    names = {"chi_index": "j", **names}
-    columns = {} if b is None else {"b": np.full(len(records), b)}
-    for f in fields(records[0]):
-        if (name := names.get(f.name, f.name)) is not None:
-            cells = [getattr(r, f.name) for r in records]
-            columns[name] = np.ma.masked_array([0 if c is None else c for c in cells],
-                                               [c is None for c in cells])
-    return columns
+def _stack(rows: list[dict]) -> dict[str, np.ndarray]:
+    """Dicts of scalars as a column table, a row per dict."""
+    return {k: np.array([r[k] for r in rows]) for k in rows[0]}
 
 
 # ====== checks: the verdicts of one base, or of a whole run ======
@@ -159,8 +148,8 @@ def _check_vanishing(b: int, cfg: RunConfig) -> list[Verdict]:
 
 def _check_moment(b: int, cfg: RunConfig) -> list[Verdict]:
     rep = spectrum.verify_moment(b)
-    return [_verdict(f"moment[b={b}]", [rep.rel_err, rep.parseval_rel_err],
-                     10 * cfg.tolerance, _transpose([rep]))]
+    return [_verdict(f"moment[b={b}]", [rep["rel_err"], rep["parseval_rel_err"]],
+                     10 * cfg.tolerance, _stack([rep]))]
 
 
 def _check_encoding(b: int, cfg: RunConfig) -> list[Verdict]:
@@ -178,29 +167,27 @@ def _check_base5(b: int, cfg: RunConfig) -> list[Verdict]:
     if b == 5:
         fourth = spectrum.verify_fourth_moment()
         verdicts += [_verdict(f"short-sum-sqrt5[b={b}]", details["sqrt5_residual"], cfg.tolerance),
-                     _verdict(f"fourth-moment[b={b}]", [fourth.rel_err], 10 * cfg.tolerance,
-                              _transpose([fourth], b))]
+                     _verdict(f"fourth-moment[b={b}]", [fourth["rel_err"]], 10 * cfg.tolerance,
+                              _stack([fourth]))]
     return verdicts
 
 
 def _check_table1(b: int, cfg: RunConfig) -> list[Verdict]:
     stats = packet.packet_stats(b)
-    details = _transpose([stats], std_times_logb="std_ln_b", std_times_log10b="std_log10_b")
+    details = _stack([stats])
     if b not in packet.TABLE1_TARGETS:
         return [_verdict(f"table1-measured[b={b}]", [0.0], packet.TABLE1_TOLERANCE, details)]
     mean_ref, std_ref = packet.TABLE1_TARGETS[b]
-    residuals = [abs(stats.mean_ratio - mean_ref), abs(stats.std_ratio - std_ref),
-                 abs(stats.mean_phase_cos)]
+    residuals = [abs(stats["mean_ratio"] - mean_ref), abs(stats["std_ratio"] - std_ref),
+                 abs(stats["mean_phase_cos"])]
     return [_verdict(f"table1[b={b}]", residuals, packet.TABLE1_TOLERANCE, details)]
 
 
 def _check_packet(b: int, cfg: RunConfig) -> list[Verdict]:
     records = packet.packet_records(b)
-    probes = [packet.probe_from_parts(r.L1, r.delta, r.P_short) for r in records]
-    details = {**_transpose(records, b),
-               **_transpose(probes, defined=None, ratio_to_P="probe")}
-    broken = (len(records) != (b - 1) ** 2 // 2
-              or any(r.twist_count != (b - 3) // 2 for r in records))
+    n = len(records["j"])
+    details = {"b": np.full(n, b), **records, "probe": packet.probes(records)}
+    broken = n != (b - 1) ** 2 // 2 or (records["twist_count"] != (b - 3) // 2).any()
     return [_verdict(f"packet[b={b}]", [float(broken)], cfg.tolerance, details)]
 
 
@@ -214,40 +201,39 @@ def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
                "magnitude_residual": residual}
     if cfg.cutoff is None:
         return [_verdict(f"lvalue-magnitude[b={b}]", residual, cfg.tolerance, details)]
-    series = [lvalues.l_value_series(Character(spec.group, j), cfg.cutoff) for j in js.tolist()]
-    gaps = np.array([max(0.0, abs(l_val - s.value) - s.tail_bound)
-                     for l_val, s in zip(l1.tolist(), series)])
-    details.update(_transpose(series, value="series", chi_index=None, method=None),
-                   agreement_gap=gaps)
+    series = _stack([lvalues.l_value_series(Character(spec.group, j), cfg.cutoff)
+                     for j in js.tolist()])
+    gaps = np.array([max(0.0, abs(l_val - s) - tail) for l_val, s, tail in
+                     zip(l1.tolist(), series["series"].tolist(), series["tail_bound"].tolist())])
+    details.update(series, agreement_gap=gaps)
     return [_verdict(f"lvalue-magnitude[b={b}]", residual, cfg.tolerance, details),
             _verdict(f"lvalue-series[b={b}]", gaps, 10 * cfg.tolerance)]
 
 
 def _check_classnumber(cfg: RunConfig) -> list[Verdict]:
-    records = [lvalues.class_number_check(b) for b in cfg.bases]
-    details = _transpose(records, discriminant="D")
-    details["equal"] = np.array([r.h_from_L == r.h_from_forms for r in records])
-    residuals = [abs(r.pre_rounding - r.h_from_forms) for r in records]
+    details = _stack([lvalues.class_number_check(b) for b in cfg.bases])
+    details["equal"] = details["h_from_L"] == details["h_from_forms"]
+    residuals = np.abs(details["pre_rounding"] - details["h_from_forms"])
     return [_verdict("classnumber", residuals, CLASSNUMBER_TOLERANCE, details)]
 
 
-def _prime_sums(cfg: RunConfig, record: Callable) -> tuple[list, dict]:
+def _prime_sums(cfg: RunConfig, record: Callable) -> dict[str, np.ndarray]:
+    """The records of every (b, s), over one sieve up to the cutoff."""
     cutoff = DEFAULT_CUTOFF if cfg.cutoff is None else cfg.cutoff
-    records = [record(b, s, cutoff) for b in cfg.bases for s in cfg.s_values]
-    return records, _transpose(records, cutoff="N", F_trunc="F", P_trunc=None)
+    primes = sieve_primes(max(cutoff, 2))  # a cutoff below b**2 is refused per record
+    return _stack([record(b, s, cutoff, primes) for b in cfg.bases for s in cfg.s_values])
 
 
 def _check_margin(check_name: str, cfg: RunConfig) -> list[Verdict]:
-    records, details = _prime_sums(cfg, prime_sums.cross_moment_bound)
-    shortfall = [0.0 if r.margin >= 0 else -r.margin for r in records]
+    details = _prime_sums(cfg, prime_sums.cross_moment_bound)
+    shortfall = np.where(details["margin"] >= 0, 0.0, -details["margin"])  # NaN stays NaN
     return [_verdict(check_name, shortfall, cfg.tolerance, details)]
 
 
 def _check_expansion(cfg: RunConfig) -> list[Verdict]:
-    records, details = _prime_sums(cfg, prime_sums.verify_expansion)
-    return [_verdict("expansion", [r.expansion_residual for r in records], 10 * cfg.tolerance,
-                     details),
-            _verdict("restriction", [r.restriction_residual for r in records], cfg.tolerance)]
+    details = _prime_sums(cfg, prime_sums.verify_expansion)
+    return [_verdict("expansion", details["expansion_residual"], 10 * cfg.tolerance, details),
+            _verdict("restriction", details["restriction_residual"], cfg.tolerance)]
 
 
 def _check_dump_collision(b: int, cfg: RunConfig) -> list[Verdict]:

@@ -25,9 +25,7 @@ b' >= 0 whenever |b'| = a or a = c.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,25 +42,10 @@ SERIES_LIMIT = 100_000_000
 SERIES_BLOCK = 1 << 16  # terms summed at a time, rounded down to whole periods
 
 
-class LMethod(enum.Enum):
-    CLOSED_FORM = "closed-form"
-    SERIES = "series"
-
-
-@dataclass(frozen=True)
-class LValue:
-    chi_index: int
-    value: complex
-    method: LMethod
-    series_truncation: int  # 0 for the closed form
-    tail_bound: float  # 0.0 for the closed form
-
-
-def l_value_closed(chi: Character) -> LValue:
+def l_value_closed(chi: Character) -> complex:
     """L(1, chi) = i pi tau(chi) B1(conj chi) / q for odd primitive chi."""
     _require_primitive_odd(chi)
-    value = 1j * math.pi * gauss_sum(chi) * bernoulli_b1(chi) / chi.group.q
-    return LValue(chi.index, value, LMethod.CLOSED_FORM, 0, 0.0)
+    return 1j * math.pi * gauss_sum(chi) * bernoulli_b1(chi) / chi.group.q
 
 
 @lru_cache(maxsize=8)
@@ -88,12 +71,14 @@ def max_partial_sum(chi: Character) -> float:
     return float(np.max(np.abs(running)))
 
 
-def l_value_series(chi: Character, cutoff: int) -> LValue:
+def l_value_series(chi: Character, cutoff: int) -> dict:
     """Truncated Dirichlet series oracle with a valid tail bound.
 
     The truncation is rounded up to a whole number of periods, which is
     what makes the partial-summation bound M_chi / N correct (the
     running character sum returns to zero at the truncation point).
+    Keys: series, the truncated sum; series_truncation, the rounded-up
+    truncation N; tail_bound, M_chi / N.
     """
     if chi.is_principal:
         raise PrincipalCharacter("the series needs a non-principal character")
@@ -104,14 +89,8 @@ def l_value_series(chi: Character, cutoff: int) -> LValue:
         raise LimitTooLarge(f"truncation {cutoff} exceeds the series bound {SERIES_LIMIT}")
     n_eff = -(-cutoff // q) * q
     harmonic = _harmonic_by_residue(q, n_eff)
-    value = complex(np.dot(chi.values_by_residue(), harmonic))
-    return LValue(
-        chi.index,
-        value,
-        LMethod.SERIES,
-        series_truncation=n_eff,
-        tail_bound=max_partial_sum(chi) / n_eff,
-    )
+    return {"series": complex(np.dot(chi.values_by_residue(), harmonic)),
+            "series_truncation": n_eff, "tail_bound": max_partial_sum(chi) / n_eff}
 
 
 # ====== L-encoding of the spectrum ======
@@ -128,15 +107,6 @@ def verify_encoding(b: int) -> dict[str, np.ndarray]:
 
 
 # ====== class numbers via reduced forms ======
-
-
-@dataclass(frozen=True)
-class ClassNumberRecord:
-    b: int
-    discriminant: int
-    h_from_L: int
-    h_from_forms: int
-    pre_rounding: float  # sqrt(b) * |L| / pi before the integer snap
 
 
 def reduced_forms(d: int) -> list[tuple[int, int, int]]:
@@ -160,24 +130,23 @@ def reduced_forms(d: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def class_number_check(b: int) -> ClassNumberRecord:
-    """h(-b) from the Legendre L-value against the reduced-forms count."""
+def class_number_check(b: int) -> dict:
+    """h(-b) from the Legendre L-value against the reduced-forms count.
+
+    Keys: b; D = -b; h_from_L; h_from_forms; pre_rounding, sqrt(b)|L|/pi
+    before the integer snap.
+    """
     if not is_odd_prime(b) or b % 4 != 3 or b <= 3:
         raise BadDiscriminant(f"need a prime b = 3 (mod 4), b > 3; got {b}")
     # The Legendre symbol is chi_{(b-1)/2} mod b, odd since b = 3 (mod 4).
     _, _, l1 = dual_transforms(build_unit_group(b, Level.MOD_B))
     l_val = complex(l1[(b - 1) // 2])
     raw = math.sqrt(b) * abs(l_val) / math.pi
-    return ClassNumberRecord(
-        b=b,
-        discriminant=-b,
-        h_from_L=round(raw),
-        h_from_forms=len(reduced_forms(-b)),
-        pre_rounding=raw,
-    )
+    return {"b": b, "D": -b, "h_from_L": round(raw), "h_from_forms": len(reduced_forms(-b)),
+            "pre_rounding": raw}
 
 
-def series_family(b: int, cutoff: int) -> list[tuple[LValue, LValue]]:
+def series_family(b: int, cutoff: int) -> list[tuple[complex, dict]]:
     """(closed, series) pairs for every primitive odd chi mod b**2."""
     group = build_unit_group(b, Level.MOD_B_SQUARED)
     return [

@@ -32,28 +32,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import Character, Family, companion_mod_b
 from .errors import BaseOutOfRange, IncompatibleGroups, NotPrimitiveOdd, WrongModulus
-from .spectrum import dual_transforms, spectrum_of
+from .spectrum import dual_transforms, magnitudes, spectrum_of
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    chi_index: int
-    P_short: complex
-    L1: complex  # L(1, conj chi)
-    delta: complex
-    ratio: float  # |delta| / |L1|
-    phase_cos: float  # cos(arg delta - arg L1)
-    twist_count: int  # always (b-3)/2
-
-
-def _packet_records(b: int, js: np.ndarray) -> list[PacketRecord]:
+def _packet_records(b: int, js: np.ndarray) -> dict[str, np.ndarray]:
     """Records for the odd chi_j mod b**2, j in js, gathered from the arrays.
+
+    Columns: j; P_short; L1 = L(1, conj chi); delta; ratio = |delta|/|L1|;
+    phase_cos = cos(arg delta - arg L1); twist_count, always (b-3)/2.
 
     The twist of conj(chi_j) by xi_k mod b is chi_{(b*k - j) mod phi}; for
     imprimitive j = b*k0 it is induced by chi_{(k - k0) mod (b-1)} on the
@@ -71,17 +62,17 @@ def _packet_records(b: int, js: np.ndarray) -> list[PacketRecord]:
         twisted = np.where(primitive, spec.L1[(b * k - js) % phi], l1_b[(k - k0) % phi_b])
         total += tau_b[-k % phi_b] * twisted
     delta = 1j / (b - 1) * total
+    # Per cell in Python: np.cos(np.arctan2(...)) rounds differently.
+    phase_cos = [math.cos(cmath.phase(d) - cmath.phase(l))
+                 for d, l in zip(delta.tolist(), l1.tolist())]
+    return {"j": js, "P_short": spec.P_short[js], "L1": l1, "delta": delta,
+            "ratio": magnitudes(delta) / magnitudes(l1), "phase_cos": np.array(phase_cos),
+            "twist_count": np.full(len(js), len(twists))}
 
-    columns = zip(js.tolist(), spec.P_short[js].tolist(), l1.tolist(), delta.tolist())
-    return [
-        PacketRecord(j, p_short, l1_j, delta_j, abs(delta_j) / abs(l1_j),
-                     math.cos(cmath.phase(delta_j) - cmath.phase(l1_j)), len(twists))
-        for j, p_short, l1_j, delta_j in columns
-    ]
 
-
-def packet_delta(chi: Character) -> PacketRecord:
-    """Delta(chi) and its comparison against L(1, conj chi), chi odd mod b**2."""
+def packet_delta(chi: Character) -> dict:
+    """Delta(chi) and its comparison against L(1, conj chi), chi odd mod b**2:
+    the record's columns as scalars."""
     g = chi.group
     if g.q != g.b**2:
         raise WrongModulus("packets are defined for characters mod b**2")
@@ -89,53 +80,40 @@ def packet_delta(chi: Character) -> PacketRecord:
         raise NotPrimitiveOdd(f"chi_{chi.index} mod {g.q} is even")
     if g.g != spectrum_of(g.b).group.g:
         raise IncompatibleGroups(f"packets index characters against the least root mod {g.q}")
-    return _packet_records(g.b, np.array([chi.index]))[0]
+    return {k: v.item() for k, v in _packet_records(g.b, np.array([chi.index])).items()}
 
 
-@dataclass(frozen=True)
-class PacketStats:
-    b: int
-    mean_ratio: float
-    std_ratio: float  # population
-    std_times_logb: float  # std_ratio * ln b
-    std_times_log10b: float
-    mean_phase_cos: float
-    count: int  # (b-1)^2 / 2 primitive odd, b(b-1) / 2 all odd
-    std_ratio_sample: float
-
-
-def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> list[PacketRecord]:
-    """Records for the primitive odd or all odd chi mod b**2, ascending index."""
+def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict[str, np.ndarray]:
+    """Columns j, P_short, L1, delta, ratio, phase_cos, twist_count over the
+    primitive odd or all odd chi_j mod b**2, ascending j (see _packet_records)."""
     if family not in (Family.PRIMITIVE_ODD, Family.ODD):
         raise ValueError(f"packet families are primitive-odd and odd, not {family.value}")
     return _packet_records(b, spectrum_of(b).indices(family))
 
 
-def stats_from_records(b: int, records: list[PacketRecord]) -> PacketStats:
-    """Aggregate ratio/phase statistics; fsum keeps them order-independent."""
-    n = len(records)
-    ratios = [r.ratio for r in records]
+def stats_from_records(b: int, records: dict[str, np.ndarray]) -> dict:
+    """Aggregate ratio/phase statistics; fsum keeps them order-independent.
+
+    Keys: b; mean_ratio; std_ratio, the population std; std_ln_b and
+    std_log10_b, std_ratio * ln b and * log10 b; mean_phase_cos; count,
+    (b-1)^2/2 primitive odd or b(b-1)/2 all odd; std_ratio_sample.
+    """
+    ratios = records["ratio"].tolist()
+    n = len(ratios)
     mean = math.fsum(ratios) / n
     centered = math.fsum((x - mean) ** 2 for x in ratios)
     std_pop = math.sqrt(centered / n)
-    std_sample = math.sqrt(centered / (n - 1)) if n > 1 else 0.0
-    return PacketStats(
-        b=b,
-        mean_ratio=mean,
-        std_ratio=std_pop,
-        std_times_logb=std_pop * math.log(b),
-        std_times_log10b=std_pop * math.log10(b),
-        mean_phase_cos=math.fsum(r.phase_cos for r in records) / n,
-        count=n,
-        std_ratio_sample=std_sample,
-    )
+    return {"b": b, "mean_ratio": mean, "std_ratio": std_pop,
+            "std_ln_b": std_pop * math.log(b), "std_log10_b": std_pop * math.log10(b),
+            "mean_phase_cos": math.fsum(records["phase_cos"].tolist()) / n, "count": n,
+            "std_ratio_sample": math.sqrt(centered / (n - 1)) if n > 1 else 0.0}
 
 
-def packet_stats(b: int, family: Family = Family.PRIMITIVE_ODD) -> PacketStats:
+def packet_stats(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict:
     """Statistics of |Delta|/|L| over an odd family mod b**2.
 
     The default is the (b-1)^2/2 primitive odd chi; Family.ODD adds the
-    (b-1)/2 imprimitive ones.
+    (b-1)/2 imprimitive ones.  Keys: those of stats_from_records.
     """
     if b < 5:
         raise BaseOutOfRange("packet statistics need b >= 5 (no even twists below)")
@@ -162,28 +140,19 @@ TABLE1_TOLERANCE = 0.05
 # ====== normalization probe ======
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """(L(1, conj chi) + Delta(chi)) / P(chi), when P is usably nonzero."""
-
-    defined: bool
-    ratio_to_P: complex | None
-
-
 PROBE_FLOOR = 1e-12
 
 
-def probe_from_parts(l1: complex, delta: complex, p_short: complex) -> ProbeResult:
-    if abs(p_short) <= PROBE_FLOOR:
-        return ProbeResult(defined=False, ratio_to_P=None)
-    return ProbeResult(defined=True, ratio_to_P=(l1 + delta) / p_short)
-
-
-def normalization_probe(chi: Character) -> ProbeResult:
-    """Measure the factor relating P(chi) to L(1, conj chi) + Delta(chi).
+def probes(records: dict[str, np.ndarray]) -> np.ma.MaskedArray:
+    """(L(1, conj chi) + Delta(chi)) / P(chi) per record, masked where
+    |P| <= PROBE_FLOOR.
 
     The factor is measured, never assumed: downstream nothing depends
     on its value, so the probe is reporting-only.
     """
-    record = packet_delta(chi)
-    return probe_from_parts(record.L1, record.delta, record.P_short)
+    undefined = magnitudes(records["P_short"]) <= PROBE_FLOOR
+    # Python's complex division per cell: numpy's rounds differently.
+    cells = zip(records["L1"].tolist(), records["delta"].tolist(),
+                records["P_short"].tolist(), undefined.tolist())
+    return np.ma.masked_array([0j if off else (l1 + d) / p for l1, d, p, off in cells],
+                              undefined)

@@ -25,7 +25,6 @@ p^{-s} is evaluated as exp(-s ln p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,26 +33,7 @@ from .characters import Character, Family, roots_of_unity
 from .collision import CollisionTable
 from .errors import CutoffBelowModulus, ExponentOutOfRange
 from .spectrum import spectrum_of
-from .unit_group import PrimeList, UnitGroup, sieve_primes
-
-
-@dataclass(frozen=True)
-class PrimeSumRecord:
-    b: int
-    s: float
-    cutoff: int
-    F_trunc: float  # real by construction: S0 is real
-    P_trunc: dict[int, complex]  # chi_index -> P(s, chi), primitive odd only
-    expansion_residual: float
-    restriction_residual: float  # all-chi sum vs primitive-odd-only sum
-    bound_lhs: float
-    bound_rhs: float
-    margin: float
-
-
-@lru_cache(maxsize=4)
-def _shared_primes(limit: int) -> PrimeList:
-    return sieve_primes(limit)
+from .unit_group import PrimeList, UnitGroup
 
 
 def _primes_in_range(primes: PrimeList, m: int, cutoff: int) -> np.ndarray:
@@ -99,9 +79,10 @@ def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> 
     return float((weights * s0[p_arr % table.m]).sum())
 
 
-def _record(b: int, s: float, cutoff: int, primes: PrimeList | None) -> PrimeSumRecord:
-    if primes is None:
-        primes = _shared_primes(cutoff)
+def _record(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
+    """Keys: b; s; N, the cutoff; F = F0(s), real since S0 is; expansion_residual;
+    restriction_residual, the all-chi sum against the primitive-odd-only one;
+    bound_lhs = |F|; bound_rhs; margin = bound_rhs - bound_lhs."""
     spec = spectrum_of(b)
     group = spec.group
     f_val = f_trunc(spec.table, s, cutoff, primes)
@@ -115,33 +96,21 @@ def _record(b: int, s: float, cutoff: int, primes: PrimeList | None) -> PrimeSum
     bound_terms = (abs(b1[j]) * abs(s_g[j]) * abs(p_val[j]) for j in js)
     bound_rhs = math.fsum(bound_terms) / group.phi
     bound_lhs = abs(f_val)
-    return PrimeSumRecord(
-        b=b,
-        s=s,
-        cutoff=cutoff,
-        F_trunc=f_val,
-        P_trunc={j: p_val[j] for j in js},
-        expansion_residual=abs(f_val - expansion_prim_odd),
-        restriction_residual=abs(expansion_all - expansion_prim_odd),
-        bound_lhs=bound_lhs,
-        bound_rhs=bound_rhs,
-        margin=bound_rhs - bound_lhs,
-    )
+    return {"b": b, "s": s, "N": cutoff, "F": f_val,
+            "expansion_residual": abs(f_val - expansion_prim_odd),
+            "restriction_residual": abs(expansion_all - expansion_prim_odd),
+            "bound_lhs": bound_lhs, "bound_rhs": bound_rhs, "margin": bound_rhs - bound_lhs}
 
 
-def verify_expansion(
-    b: int, s: float, cutoff: int, primes: PrimeList | None = None
-) -> PrimeSumRecord:
-    """Check F0 = sum s0_hat * P term by term at the given truncation."""
+def verify_expansion(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
+    """Check F0 = sum s0_hat * P term by term at the given truncation (keys: _record)."""
     if not (math.isfinite(s) and s > 0):
         raise ExponentOutOfRange(f"need a finite s > 0, got {s}")
     return _record(b, s, cutoff, primes)
 
 
-def cross_moment_bound(
-    b: int, s: float, cutoff: int, primes: PrimeList | None = None
-) -> PrimeSumRecord:
-    """Triangle-inequality bound |F0| <= (1/phi) sum |B1||S_G||P|."""
+def cross_moment_bound(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
+    """Triangle-inequality bound |F0| <= (1/phi) sum |B1||S_G||P| (keys: _record)."""
     if not (math.isfinite(s) and s > 0.5):
         raise ExponentOutOfRange(f"need a finite s > 0.5, got {s}")
     return _record(b, s, cutoff, primes)

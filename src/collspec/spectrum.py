@@ -279,26 +279,19 @@ def verify_proof_steps(b: int) -> dict[str, np.ndarray]:
 # ====== moment identity ======
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Both sides of the second-moment identity, plus the Parseval precheck."""
-
-    b: int
-    lhs: float  # sum over primitive odd chi of |L(1,chi)|^2 |S_G(chi)|^2
-    rhs: float  # pi^2 phi(m) / b^2 * sum_a S0(a)^2
-    rel_err: float
-    parseval_lhs: float  # sum over all chi of |s0_hat|^2
-    parseval_rhs: float  # (1/phi) sum_a S0(a)^2
-    parseval_rel_err: float
-
-
 def centered_square_sum(table: CollisionTable) -> Fraction:
     """sum_a S0(a)^2 as an exact rational; Python ints, since int64 would overflow."""
     return Fraction(sum(x * x for x in table.S0_num.tolist()), table.b**2)
 
 
-def verify_moment(b: int) -> MomentReport:
-    """Parseval for the full dual group, then the primitive-odd restriction."""
+def verify_moment(b: int) -> dict:
+    """Parseval for the full dual group, then the primitive-odd restriction.
+
+    Keys: b; lhs, the sum over primitive odd chi of |L(1,chi)|^2 |S_G(chi)|^2;
+    rhs, pi^2 phi(m) / b^2 * sum_a S0(a)^2; rel_err; parseval_lhs, the sum
+    over all chi of |s0_hat|^2; parseval_rhs, (1/phi) sum_a S0(a)^2;
+    parseval_rel_err.
+    """
     spec = spectrum_of(b)
     phi = spec.group.phi
     square_sum = float(centered_square_sum(spec.table))
@@ -313,27 +306,12 @@ def verify_moment(b: int) -> MomentReport:
         for l_val, s_g in zip(spec.L1[js].tolist(), spec.S_G[js].tolist())
     )
     rhs = math.pi**2 * phi / b**2 * square_sum
-    return MomentReport(
-        b=b,
-        lhs=lhs,
-        rhs=rhs,
-        rel_err=abs(lhs - rhs) / rhs,
-        parseval_lhs=parseval_lhs,
-        parseval_rhs=parseval_rhs,
-        parseval_rel_err=parseval_rel,
-    )
+    return {"b": b, "lhs": lhs, "rhs": rhs, "rel_err": abs(lhs - rhs) / rhs,
+            "parseval_lhs": parseval_lhs, "parseval_rhs": parseval_rhs,
+            "parseval_rel_err": parseval_rel}
 
 
 # ====== short-sum identities ======
-
-
-@dataclass(frozen=True)
-class FourthMomentCheck:
-    """sum |L(1,chi)|^4 against (4 pi^4 / 625) sum_a S0(a)^2 at b = 5."""
-
-    lhs: float
-    rhs: float
-    rel_err: float
 
 
 # Largest base for which the doubling identity |S_G| = 2|P| is asserted
@@ -354,10 +332,14 @@ def verify_base5_identities(b: int) -> dict[str, np.ndarray]:
     return columns
 
 
-def verify_fourth_moment() -> FourthMomentCheck:
-    """The fourth moment of L(1, chi) over the primitive odd chi mod 25."""
+def verify_fourth_moment() -> dict:
+    """The fourth moment of L(1, chi) over the primitive odd chi mod 25.
+
+    Keys: b = 5; lhs, sum |L(1,chi)|^4; rhs, (4 pi^4 / 625) sum_a S0(a)^2;
+    rel_err.
+    """
     spec = spectrum_of(5)
     l1 = spec.L1[spec.indices(Family.PRIMITIVE_ODD)].tolist()
     lhs = math.fsum(abs(l_val) ** 4 for l_val in l1)
     rhs = 4 * math.pi**4 / 625 * float(centered_square_sum(spec.table))
-    return FourthMomentCheck(lhs=lhs, rhs=rhs, rel_err=abs(lhs - rhs) / rhs)
+    return {"b": 5, "lhs": lhs, "rhs": rhs, "rel_err": abs(lhs - rhs) / rhs}

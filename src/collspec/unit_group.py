@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import BaseOutOfRange, LimitTooLarge, NotOddPrime
 
-# Supported bases.  Trial division is a perfectly adequate primality
-# check at this scale, and the dlog table enumeration stays desk-sized.
-MAX_BASE = 10_000
+# Supported bases: the largest prime whose modelled peak RSS, 48 MB + 330 bytes
+# per phi = b(b-1), is at most 4 GB (3.99 GB at b = 3583).  The model bounds
+# `verify decompose` at b = 199, 499 and 997 from above (56.8, 109, 343 MB).
+MAX_BASE = 3583
 
 # Sieve memory bound: one byte per odd candidate, 0.5 GB at the bound.
 SIEVE_LIMIT = 1_000_000_000

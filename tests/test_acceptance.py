@@ -28,7 +28,7 @@ from collspec.spectrum import (
     verify_moment,
     verify_proof_steps,
 )
-from collspec.unit_group import Level, build_unit_group, is_odd_prime
+from collspec.unit_group import Level, build_unit_group, is_odd_prime, sieve_primes
 
 DECOMPOSE_BASES = (3, 5, 7, 11, 13, 19, 31, 43)
 PRIMES_TO_13 = (3, 5, 7, 11, 13)
@@ -85,7 +85,7 @@ def test_criterion_4_moment():
     worst = 0.0
     for b in (3, 5, 7, 13):
         rep = verify_moment(b)
-        worst = max(worst, rep.rel_err, rep.parseval_rel_err)
+        worst = max(worst, rep["rel_err"], rep["parseval_rel_err"])
     ok = worst < 1e-9
     report(4, "moment identity", ok, f"worst rel {worst:.2e}")
     assert ok
@@ -107,9 +107,9 @@ def test_criterion_6_short_sums():
                              verify_base5_identities(b)["doubling_residual"].max())
     sqrt5 = verify_base5_identities(5)["sqrt5_residual"].max()
     fourth = verify_fourth_moment()
-    ok = worst_doubling < 1e-10 and sqrt5 < 1e-10 and fourth.rel_err < 1e-9
+    ok = worst_doubling < 1e-10 and sqrt5 < 1e-10 and fourth["rel_err"] < 1e-9
     report(6, "short-sum identities", ok,
-           f"doubling {worst_doubling:.2e}, sqrt5 {sqrt5:.2e}, fourth {fourth.rel_err:.2e}")
+           f"doubling {worst_doubling:.2e}, sqrt5 {sqrt5:.2e}, fourth {fourth['rel_err']:.2e}")
     assert ok
 
 
@@ -120,14 +120,14 @@ def test_criterion_7_decay_table():
     for b in sorted(TABLE1_TARGETS):
         stats = packet_stats(b, TABLE1_FAMILY)
         mean_ref, std_ref = TABLE1_TARGETS[b]
-        mean_gap = abs(stats.mean_ratio - mean_ref)
-        std_gap = abs(stats.std_ratio - std_ref)  # the table's std is the population one
-        phase_gap = abs(stats.mean_phase_cos)
+        mean_gap = abs(stats["mean_ratio"] - mean_ref)
+        std_gap = abs(stats["std_ratio"] - std_ref)  # the table's std is the population one
+        phase_gap = abs(stats["mean_phase_cos"])
         in_band = mean_gap <= 0.05 and std_gap <= 0.05 and phase_gap <= 0.05
         if not in_band:
             failures.append(
-                f"b={b}: mean {stats.mean_ratio:.4f} vs {mean_ref} "
-                f"(gap {mean_gap:.4f}), population std {stats.std_ratio:.4f} "
+                f"b={b}: mean {stats['mean_ratio']:.4f} vs {mean_ref} "
+                f"(gap {mean_gap:.4f}), population std {stats['std_ratio']:.4f} "
                 f"vs {std_ref} (gap {std_gap:.4f})"
             )
     elapsed = time.perf_counter() - t0
@@ -148,8 +148,7 @@ def test_criterion_8_series_oracle():
     worst = -math.inf
     for b in (3, 5, 7):
         for closed, series in series_family(b, 10 ** 7):
-            worst = max(worst,
-                        abs(closed.value - series.value) - series.tail_bound)
+            worst = max(worst, abs(closed - series["series"]) - series["tail_bound"])
     ok = worst <= 1e-9
     report(8, "series vs closed form", ok, f"worst gap-tail {worst:.2e}")
     assert ok
@@ -161,8 +160,8 @@ def test_criterion_9_class_numbers():
         if not (is_odd_prime(b) and b % 4 == 3):
             continue
         rec = class_number_check(b)
-        if rec.h_from_L != rec.h_from_forms or rec.h_from_forms != KNOWN_H[b]:
-            bad.append((b, rec.h_from_L, rec.h_from_forms))
+        if rec["h_from_L"] != rec["h_from_forms"] or rec["h_from_forms"] != KNOWN_H[b]:
+            bad.append((b, rec["h_from_L"], rec["h_from_forms"]))
     ok = not bad
     report(9, "class numbers", ok, f"{len(KNOWN_H)} discriminants" if ok else str(bad))
     assert ok
@@ -170,11 +169,12 @@ def test_criterion_9_class_numbers():
 
 def test_criterion_10_expansion():
     worst_resid, worst_margin = 0.0, math.inf
+    primes = sieve_primes(10 ** 5)
     for b in (5, 7):
         for s in (0.8, 1.2, 2.0):
-            rec = verify_expansion(b, s, 10 ** 5)
-            worst_resid = max(worst_resid, rec.expansion_residual)
-            worst_margin = min(worst_margin, rec.margin)
+            rec = verify_expansion(b, s, 10 ** 5, primes)
+            worst_resid = max(worst_resid, rec["expansion_residual"])
+            worst_margin = min(worst_margin, rec["margin"])
     ok = worst_resid < 1e-9 and worst_margin >= -1e-10
     report(10, "expansion identity", ok,
            f"resid {worst_resid:.2e}, min margin {worst_margin:+.4f}")

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -47,7 +46,7 @@ def test_non_prime_base_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "decompose", "--base", "10007"),  # above MAX_BASE
+        ("verify", "decompose", "--base", "3593"),  # the first prime above MAX_BASE
         ("table1", "--base", "3"),  # packet statistics need b >= 5
         ("lvalue", "--base", "5", "--cutoff", "100"),  # series needs q^2 terms
         ("cross-moment", "--base", "5", "--s", "0.3"),  # bound needs s > 0.5
@@ -60,6 +59,7 @@ def test_non_prime_base_is_usage_error(capsys):
         ("cross-moment", "--base", "5", "--cutoff", "28"),  # no prime in (25, 28]
         ("verify", "decompose", "--base", "5", "--out", "no-such-dir/x.json"),
         ("verify", "decompose", "--base", "5", "--out", "."),  # a directory
+        ("expansion", "--base", "5", "--cutoff", "1"),  # below the sieve's least limit
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):
@@ -237,7 +237,7 @@ def test_nan_margin_fails(capsys, monkeypatch):
 
     def nan_at_5(b, *args):  # a NaN after a passing row must still fail
         rec = bound(b, *args)
-        return dataclasses.replace(rec, margin=math.nan) if b == 5 else rec
+        return {**rec, "margin": math.nan} if b == 5 else rec
 
     monkeypatch.setattr(prime_sums, "cross_moment_bound", nan_at_5)
     argv = ("cross-moment", "--bases", "3,5", "--cutoff", "1000", "--format")

@@ -6,7 +6,6 @@ import pytest
 from collspec.characters import Character, Family, enumerate_family
 from collspec.errors import BadDiscriminant, NotPrimitiveOdd, PrincipalCharacter
 from collspec.lvalues import (
-    LMethod,
     _harmonic_by_residue,
     class_number_check,
     l_value_closed,
@@ -27,13 +26,13 @@ def legendre(b):
 
 def test_closed_form_legendre_mod_7():
     # L(1, chi_{-7}) = pi / sqrt(7) by the class number formula, h = 1
-    val = l_value_closed(legendre(7)).value
+    val = l_value_closed(legendre(7))
     assert abs(val) == pytest.approx(math.pi / math.sqrt(7), rel=1e-13)
 
 
 def test_closed_form_legendre_mod_3():
     # h(-3) = 1 with 6 units: L = pi / (3 sqrt 3)
-    val = l_value_closed(legendre(3)).value
+    val = l_value_closed(legendre(3))
     assert abs(val) == pytest.approx(math.pi / (3 * math.sqrt(3)), rel=1e-13)
 
 
@@ -51,7 +50,7 @@ def test_magnitude_law_mod_25():
     # |B1| = (b/pi) |L| for primitive odd chi mod b^2
     g = build_unit_group(5, Level.MOD_B_SQUARED)
     for chi in enumerate_family(g, Family.PRIMITIVE_ODD):
-        lval = abs(l_value_closed(chi).value)
+        lval = abs(l_value_closed(chi))
         assert abs(bernoulli_b1(chi)) == pytest.approx(5 / math.pi * lval, abs=1e-13)
 
 
@@ -60,18 +59,18 @@ def test_series_agrees_with_closed_form():
     chi = Character(g, 1)
     closed = l_value_closed(chi)
     series = l_value_series(chi, 200_000)
-    assert series.method is LMethod.SERIES
-    assert abs(closed.value - series.value) <= series.tail_bound
-    assert series.series_truncation % 9 == 0
-    assert series.series_truncation >= 200_000
+    assert list(series) == ["series", "series_truncation", "tail_bound"]
+    assert abs(closed - series["series"]) <= series["tail_bound"]
+    assert series["series_truncation"] % 9 == 0
+    assert series["series_truncation"] >= 200_000
 
 
 def test_series_legendre_mod_3():
     # direct alternating structure: 1 - 1/2 + 1/4 - 1/5 + ...
     chi = legendre(3)
     series = l_value_series(chi, 100_000)
-    assert series.value.real == pytest.approx(math.pi / (3 * math.sqrt(3)), abs=1e-5)
-    assert abs(series.value.imag) < 1e-15
+    assert series["series"].real == pytest.approx(math.pi / (3 * math.sqrt(3)), abs=1e-5)
+    assert abs(series["series"].imag) < 1e-15
 
 
 def test_series_guards():
@@ -106,8 +105,7 @@ def test_series_family_shapes():
     pairs = series_family(3, 10 ** 5)
     assert len(pairs) == 2
     for closed, series in pairs:
-        assert closed.chi_index == series.chi_index
-        assert abs(closed.value - series.value) <= series.tail_bound + 1e-9
+        assert abs(closed - series["series"]) <= series["tail_bound"] + 1e-9
 
 
 @pytest.mark.parametrize("b", [3, 5, 7, 13])
@@ -150,10 +148,10 @@ def test_reduced_forms_guards():
                                  (47, 5), (71, 7), (163, 1)])
 def test_class_numbers(b, h):
     rec = class_number_check(b)
-    assert rec.h_from_L == h
-    assert rec.h_from_forms == h
-    assert rec.discriminant == -b
-    assert abs(rec.pre_rounding - h) < 1e-9  # formula is exact, snap is cosmetic
+    assert rec["h_from_L"] == h
+    assert rec["h_from_forms"] == h
+    assert rec["D"] == -b
+    assert abs(rec["pre_rounding"] - h) < 1e-9  # formula is exact, snap is cosmetic
 
 
 def test_class_number_guards():

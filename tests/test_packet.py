@@ -13,11 +13,10 @@ from collspec.packet import (
     PROBE_FLOOR,
     TABLE1_FAMILY,
     TABLE1_TARGETS,
-    normalization_probe,
     packet_delta,
     packet_records,
     packet_stats,
-    probe_from_parts,
+    probes,
     stats_from_records,
 )
 from collspec.unit_group import Level, build_unit_group
@@ -26,22 +25,25 @@ from collspec.unit_group import Level, build_unit_group
 def test_b3_packet_is_empty_sum():
     # no even nontrivial characters mod 3
     recs = packet_records(3)
-    assert len(recs) == 2
-    for r in recs:
-        assert r.delta == 0
-        assert r.ratio == 0.0
-        assert r.twist_count == 0
+    assert len(recs["j"]) == 2
+    assert (recs["delta"] == 0).all()
+    assert (recs["ratio"] == 0.0).all()
+    assert (recs["twist_count"] == 0).all()
 
 
 @pytest.mark.parametrize("b,count", [(5, 8), (7, 18), (13, 72)])
 def test_record_counts(b, count):
     recs = packet_records(b)
-    assert len(recs) == count == (b - 1) ** 2 // 2
-    for r in recs:
-        assert r.twist_count == (b - 3) // 2
-        assert r.ratio >= 0
-        assert -1 <= r.phase_cos <= 1
-        assert abs(r.ratio - abs(r.delta) / abs(r.L1)) < 1e-15
+    assert list(recs) == ["j", "P_short", "L1", "delta", "ratio", "phase_cos", "twist_count"]
+    assert len(recs["j"]) == count == (b - 1) ** 2 // 2
+    assert recs["twist_count"].dtype == np.int64
+    for r in rows(recs):
+        assert r["twist_count"] == (b - 3) // 2
+        assert r["ratio"] >= 0
+        assert -1 <= r["phase_cos"] <= 1
+        # the per-cell arithmetic, bit for bit
+        assert r["ratio"] == abs(r["delta"]) / abs(r["L1"])
+        assert r["phase_cos"] == math.cos(cmath.phase(r["delta"]) - cmath.phase(r["L1"]))
 
 
 def test_rejects_non_primitive_odd():
@@ -52,26 +54,27 @@ def test_rejects_non_primitive_odd():
 
 def test_delta_conjugate_antisymmetry():
     # conj(Delta(chi)) = -Delta(conj chi); this forces mean cos = 0
-    recs = {r.chi_index: r for r in packet_records(7)}
+    recs = {r["j"]: r for r in rows(packet_records(7))}
     g = build_unit_group(7, Level.MOD_B_SQUARED)
     for j, r in recs.items():
         jbar = (-j) % g.phi
-        assert recs[jbar].delta == pytest.approx(-r.delta.conjugate(), abs=1e-12)
+        assert recs[jbar]["delta"] == pytest.approx(-r["delta"].conjugate(), abs=1e-12)
 
 
 def test_mean_phase_cos_is_zero():
     for b in (5, 7, 13):
-        assert abs(packet_stats(b).mean_phase_cos) < 1e-12
-        assert abs(packet_stats(b, Family.ODD).mean_phase_cos) < 1e-12
+        assert abs(packet_stats(b)["mean_phase_cos"]) < 1e-12
+        assert abs(packet_stats(b, Family.ODD)["mean_phase_cos"]) < 1e-12
 
 
 def test_stats_b5_frozen():
     st5 = packet_stats(5)
-    assert st5.count == 8
-    assert st5.mean_ratio == pytest.approx(0.86023870029448346, abs=1e-12)
-    assert st5.std_ratio == pytest.approx(0.71413540628907179, abs=1e-12)
-    assert st5.std_times_logb == pytest.approx(st5.std_ratio * math.log(5))
-    assert st5.std_times_log10b == pytest.approx(st5.std_ratio * math.log10(5))
+    assert st5["b"] == 5
+    assert st5["count"] == 8
+    assert st5["mean_ratio"] == pytest.approx(0.86023870029448346, abs=1e-12)
+    assert st5["std_ratio"] == pytest.approx(0.71413540628907179, abs=1e-12)
+    assert st5["std_ln_b"] == pytest.approx(st5["std_ratio"] * math.log(5))
+    assert st5["std_log10_b"] == pytest.approx(st5["std_ratio"] * math.log10(5))
 
 
 def test_table_targets_shape():
@@ -80,8 +83,8 @@ def test_table_targets_shape():
     # misses its b=5 row by 0.06 and agrees within 0.05 from b=7 on
     st13 = packet_stats(13)
     mean_ref, std_ref = TABLE1_TARGETS[13]
-    assert abs(st13.mean_ratio - mean_ref) < 0.05
-    assert abs(st13.std_ratio - std_ref) < 0.05
+    assert abs(st13["mean_ratio"] - mean_ref) < 0.05
+    assert abs(st13["std_ratio"] - std_ref) < 0.05
 
 
 def test_stats_need_b_at_least_5():
@@ -93,17 +96,18 @@ def test_stats_need_b_at_least_5():
 @settings(max_examples=25, deadline=None)
 def test_stats_permutation_invariant(perm):
     recs = packet_records(5)
-    shuffled = [recs[i] for i in perm]
+    shuffled = {k: v[list(perm)] for k, v in recs.items()}
     a = stats_from_records(5, recs)
     c = stats_from_records(5, shuffled)
     assert a == c  # fsum aggregation is exactly order-independent
 
 
 def test_probe_guard():
-    assert not probe_from_parts(1 + 0j, 0j, PROBE_FLOOR / 2).defined
-    pr = probe_from_parts(1 + 0j, 1j, 2 + 0j)
-    assert pr.defined
-    assert pr.ratio_to_P == pytest.approx((1 + 1j) / 2)
+    records = {"L1": np.array([1 + 0j, 1 + 0j]), "delta": np.array([0j, 1j]),
+               "P_short": np.array([PROBE_FLOOR / 2, 2 + 0j])}
+    probe = probes(records)
+    assert probe.mask.tolist() == [True, False]
+    assert probe[1] == (1 + 1j) / 2
 
 
 def test_probe_defining_relation():
@@ -111,19 +115,25 @@ def test_probe_defining_relation():
     # Delta is conjugate-antisymmetric, not equivariant (see the
     # antisymmetry test above), so (L1 + Delta) does not conjugate cleanly
     g = build_unit_group(5, Level.MOD_B_SQUARED)
-    recs = {r.chi_index: r for r in packet_records(5)}
-    for chi in enumerate_family(g, Family.PRIMITIVE_ODD):
-        pr = normalization_probe(chi)
-        assert pr.defined
-        r = recs[chi.index]
-        assert pr.ratio_to_P * r.P_short == pytest.approx(r.L1 + r.delta, abs=1e-12)
+    recs = packet_records(5)
+    probe = probes(recs)
+    assert not probe.mask.any()
+    for row, chi in enumerate(enumerate_family(g, Family.PRIMITIVE_ODD)):
+        r = packet_delta(chi)
+        assert r == {k: v[row].item() for k, v in recs.items()}
+        assert probe[row] * r["P_short"] == pytest.approx(r["L1"] + r["delta"], abs=1e-12)
 
 
 # ====== imprimitive odd chi and the decay table's family ======
 
 
+def rows(records):
+    """The records one dict of Python scalars at a time."""
+    return [dict(zip(records, cells)) for cells in zip(*(v.tolist() for v in records.values()))]
+
+
 def imprimitive_records(b):
-    return [r for r in packet_records(b, Family.ODD) if r.chi_index % b == 0]
+    return [r for r in rows(packet_records(b, Family.ODD)) if r["j"] % b == 0]
 
 
 def cosine_series_delta(chi, l1, terms=10**6):
@@ -149,8 +159,8 @@ def test_imprimitive_l1_matches_series(b):
     recs = imprimitive_records(b)
     assert len(recs) == (b - 1) // 2
     for r in recs:
-        series = l_value_series(Character(g, r.chi_index).conjugate(), 10**6)
-        assert abs(r.L1 - series.value) <= series.tail_bound + 1e-9
+        series = l_value_series(Character(g, r["j"]).conjugate(), 10**6)
+        assert abs(r["L1"] - series["series"]) <= series["tail_bound"] + 1e-9
 
 
 @pytest.mark.parametrize(
@@ -164,19 +174,18 @@ def test_imprimitive_l1_matches_series(b):
 )
 def test_imprimitive_delta_matches_cosine_series(b, primitive):
     g = build_unit_group(b, Level.MOD_B_SQUARED)
-    records = packet_records(b) if primitive else imprimitive_records(b)
+    records = rows(packet_records(b)) if primitive else imprimitive_records(b)
     for r in records:
-        alt, tail = cosine_series_delta(Character(g, r.chi_index), r.L1)
-        assert abs(alt - r.delta) <= tail + 1e-9
+        alt, tail = cosine_series_delta(Character(g, r["j"]), r["L1"])
+        assert abs(alt - r["delta"]) <= tail + 1e-9
 
 
 @pytest.mark.parametrize("b", [5, 7, 13])
 def test_odd_family_extends_primitive(b):
     odd = packet_records(b, Family.ODD)
-    assert len(odd) == b * (b - 1) // 2
-    assert [r for r in odd if r.chi_index % b] == packet_records(b)
-    for r in odd:
-        assert r.twist_count == (b - 3) // 2
+    assert len(odd["j"]) == b * (b - 1) // 2
+    assert [r for r in rows(odd) if r["j"] % b] == rows(packet_records(b))
+    assert (odd["twist_count"] == (b - 3) // 2).all()
 
 
 def test_records_need_an_odd_family():
@@ -189,9 +198,9 @@ def test_table_family_b5_row():
     # all odd chi mod 25 give the tabulated 0.80 / 0.65
     assert TABLE1_FAMILY is Family.ODD
     st5 = packet_stats(5, TABLE1_FAMILY)
-    assert st5.count == 10
-    assert st5.mean_ratio == pytest.approx(0.7999943591105763, abs=1e-12)
-    assert st5.std_ratio == pytest.approx(0.6500069425715838, abs=1e-12)
+    assert st5["count"] == 10
+    assert st5["mean_ratio"] == pytest.approx(0.7999943591105763, abs=1e-12)
+    assert st5["std_ratio"] == pytest.approx(0.6500069425715838, abs=1e-12)
     mean_ref, std_ref = TABLE1_TARGETS[5]
-    assert abs(st5.mean_ratio - mean_ref) < 5e-4
-    assert abs(st5.std_ratio - std_ref) < 5e-4
+    assert abs(st5["mean_ratio"] - mean_ref) < 5e-4
+    assert abs(st5["std_ratio"] - std_ref) < 5e-4

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from collspec.characters import Character, Family, enumerate_family
+from collspec.characters import Character
 from collspec.collision import collision_invariant
 from collspec.errors import CutoffBelowModulus
 from collspec.prime_sums import (
@@ -56,58 +56,59 @@ def test_character_sum_matches_termwise():
 
 
 def test_expansion_identity_small():
-    rec = verify_expansion(3, 2.0, 1000)
-    assert rec.expansion_residual < 1e-11
-    assert rec.restriction_residual < 1e-11
-    assert rec.margin >= -1e-10
+    rec = verify_expansion(3, 2.0, 1000, sieve_primes(1000))
+    assert rec["expansion_residual"] < 1e-11
+    assert rec["restriction_residual"] < 1e-11
+    assert rec["margin"] >= -1e-10
 
 
 def test_expansion_identity_b5():
-    rec = verify_expansion(5, 1.2, 10 ** 5)
-    assert rec.expansion_residual < 1e-9
-    assert rec.restriction_residual < 1e-11
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
-    assert set(rec.P_trunc) == {
-        c.index for c in enumerate_family(g, Family.PRIMITIVE_ODD)
-    }
+    rec = verify_expansion(5, 1.2, 10 ** 5, sieve_primes(10 ** 5))
+    assert list(rec) == ["b", "s", "N", "F", "expansion_residual", "restriction_residual",
+                         "bound_lhs", "bound_rhs", "margin"]
+    assert rec["expansion_residual"] < 1e-9
+    assert rec["restriction_residual"] < 1e-11
 
 
 def test_no_primes_below_cutoff_is_refused():
     # m = 9 < cutoff = 10 but no primes in (9, 10]: every sum would be vacuously 0
     with pytest.raises(CutoffBelowModulus):
-        verify_expansion(3, 1.2, 10)
+        verify_expansion(3, 1.2, 10, sieve_primes(10))
     with pytest.raises(CutoffBelowModulus):
-        cross_moment_bound(3, 1.2, 10)
+        cross_moment_bound(3, 1.2, 10, sieve_primes(10))
 
 
 def test_cutoff_guards():
+    primes = sieve_primes(100)
     with pytest.raises(CutoffBelowModulus):
-        verify_expansion(3, 1.2, 9)
+        verify_expansion(3, 1.2, 9, primes)
     with pytest.raises(ValueError):
-        verify_expansion(3, -1.0, 100)
+        verify_expansion(3, -1.0, 100, primes)
     with pytest.raises(ValueError):
-        cross_moment_bound(3, 0.5, 100)
+        cross_moment_bound(3, 0.5, 100, primes)
 
 
 @pytest.mark.parametrize("b", [3, 5])
 @pytest.mark.parametrize("s", [0.8, 1.2, 2.0])
 def test_margin_nonnegative(b, s):
-    rec = cross_moment_bound(b, s, 20_000)
-    assert rec.margin >= -1e-10
-    assert rec.bound_lhs == abs(rec.F_trunc)
+    rec = cross_moment_bound(b, s, 20_000, sieve_primes(20_000))
+    assert rec["margin"] >= -1e-10
+    assert rec["bound_lhs"] == abs(rec["F"])
 
 
 def test_cross_moment_builds_the_spectrum_once():
     spectrum_of.cache_clear()
+    primes = sieve_primes(5000)
     for s in (0.8, 1.0, 1.2, 1.5):
-        cross_moment_bound(7, s, 5000)
+        cross_moment_bound(7, s, 5000, primes)
     assert spectrum_of.cache_info().misses == 1
 
 
 def test_record_computes_prime_terms_once_per_s():
     # the phi = 42 characters of one record share the weights and dlogs
     _prime_terms.cache_clear()
+    primes = sieve_primes(5000)
     for s in (0.8, 1.2):
-        verify_expansion(7, s, 5000)
+        verify_expansion(7, s, 5000, primes)
     info = _prime_terms.cache_info()
     assert (info.misses, info.hits) == (2, 2 * 41)
