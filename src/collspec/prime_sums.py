@@ -16,10 +16,23 @@ then gives the cross-moment bound
 
     |F0(s)| <= (1/phi) * sum |B1| |S_G| |P(s, chi)|,
 
-whose margin is reported for (b, s, N) grids.  Sums run over primes in
-ascending order as numpy pairwise sums, not BLAS dots, whose threads make
-the last digits and the run time follow the thread count and the load;
-p^{-s} is evaluated as exp(-s ln p).
+whose margin is reported for (b, s, N) grids.  p^{-s} is evaluated as
+exp(-s ln p), and sums are numpy pairwise sums, not BLAS dots, whose
+threads make the last digits and the run time follow the thread count
+and the load.  P has two routes:
+
+- p_trunc sums one character directly over the primes in ascending order,
+  an O(pi(N)) pass per chi.  verify_expansion takes these sums: its
+  residual is a few ulps of |F0|, and any reordering moves it by as much
+  as it is, so the gated check keeps the order it was pinned with.
+- p_all gives every chi at once.  With c[t] the sum of p^{-s} over the
+  primes of dlog class t, P(s, chi_j) = sum_t c[t] e(jt/phi) is one
+  length-phi FFT.  Each c[t] is a pairwise sum over the class's run of a
+  cached, dlog-grouped prime list; bincount and add.reduceat would sum
+  sequentially, which raises the rounding by more than an order of
+  magnitude.  cross_moment_bound takes this route.
+
+F0 is always summed directly over the ascending primes.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ import numpy as np
 from .characters import Character, Family, roots_of_unity
 from .collision import CollisionTable
 from .errors import CutoffBelowModulus, ExponentOutOfRange
-from .spectrum import spectrum_of
+from .spectrum import Spectrum, spectrum_of
 from .unit_group import PrimeList, UnitGroup
 
 
@@ -48,6 +61,10 @@ def _primes_in_range(primes: PrimeList, m: int, cutoff: int) -> np.ndarray:
     return arr[lo:hi]
 
 
+def _underflow(s: float, p_min: int) -> ExponentOutOfRange:
+    return ExponentOutOfRange(f"at s = {s}, p^-s underflows to 0 from p = {p_min} on")
+
+
 @lru_cache(maxsize=1)
 def _prime_terms(group: UnitGroup, s: float, cutoff: int,
                  primes: PrimeList) -> tuple[np.ndarray, np.ndarray]:
@@ -55,10 +72,24 @@ def _prime_terms(group: UnitGroup, s: float, cutoff: int,
     p_arr = _primes_in_range(primes, group.q, cutoff)
     terms = np.exp(-s * np.log(p_arr.astype(float))), group.dlog[p_arr % group.q]
     if terms[0][0] == 0.0:  # the largest term: every term, and so every sum, would be 0
-        raise ExponentOutOfRange(f"at s = {s}, p^-s underflows to 0 from p = {p_arr[0]} on")
+        raise _underflow(s, p_arr[0])
     for arr in terms:
         arr.flags.writeable = False
     return terms
+
+
+@lru_cache(maxsize=1)
+def _class_order(group: UnitGroup, cutoff: int, primes: PrimeList) -> tuple[np.ndarray, list[int]]:
+    """ln p over q < p <= cutoff grouped by dlog p, ascending within a class, and
+    the phi + 1 run bounds: class t is log_p[bounds[t]:bounds[t + 1]].  Shared by
+    every s of a run; ln p rather than p, since each record needs only ln p."""
+    p_arr = _primes_in_range(primes, group.q, cutoff)
+    keys = group.dlog[p_arr % group.q].astype(np.int32)
+    log_p = p_arr[np.argsort(keys, kind="stable")].astype(float)
+    np.log(log_p, out=log_p)
+    log_p.flags.writeable = False
+    counts = np.bincount(keys, minlength=group.phi)  # integer counts: exact
+    return log_p, [0, *np.cumsum(counts).tolist()]
 
 
 def p_trunc(chi: Character, s: float, cutoff: int, primes: PrimeList) -> complex:
@@ -70,6 +101,16 @@ def p_trunc(chi: Character, s: float, cutoff: int, primes: PrimeList) -> complex
     return complex((weights * phases.real[dlogs]).sum(), (weights * phases.imag[dlogs]).sum())
 
 
+def p_all(group: UnitGroup, s: float, cutoff: int, primes: PrimeList) -> np.ndarray:
+    """P(s, chi_j) for j = 0..phi-1, by dlog class sums and one FFT."""
+    log_p, bounds = _class_order(group, cutoff, primes)
+    weights = np.exp(-s * log_p)
+    if not weights.any():  # every sum would be 0
+        raise _underflow(s, _primes_in_range(primes, group.q, cutoff)[0])
+    c = np.array([weights[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return np.fft.ifft(c, norm="forward")  # unscaled: sum_t c[t] e(jt/phi)
+
+
 def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> float:
     """F0(s) = sum over m < p <= cutoff of S0(p mod m) p^{-s}."""
     p_arr = _primes_in_range(primes, table.m, cutoff)
@@ -79,38 +120,44 @@ def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> 
     return float((weights * s0[p_arr % table.m]).sum())
 
 
-def _record(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
+def _record(spec: Spectrum, s: float, cutoff: int, f_val: float, p_val: list) -> dict:
     """Keys: b; s; N, the cutoff; F = F0(s), real since S0 is; expansion_residual;
     restriction_residual, the all-chi sum against the primitive-odd-only one;
-    bound_lhs = |F|; bound_rhs; margin = bound_rhs - bound_lhs."""
-    spec = spectrum_of(b)
-    group = spec.group
-    f_val = f_trunc(spec.table, s, cutoff, primes)
+    bound_lhs = |F|; bound_rhs; margin = bound_rhs - bound_lhs.  p_val holds
+    P(s, chi_j) for j = 0..phi-1 as Python complex numbers.
 
-    p_val = [p_trunc(Character(group, j), s, cutoff, primes) for j in range(group.phi)]
+    Callers take F before P, so that F's temporaries are freed before P's
+    per-run caches fill."""
     # Python scalars summed in order: a numpy sum would reorder the terms.
     s_hat, b1, s_g = spec.s_hat.tolist(), spec.B1.tolist(), spec.S_G.tolist()
     expansion_all = sum((h * p for h, p in zip(s_hat, p_val)), 0j)
     js = spec.indices(Family.PRIMITIVE_ODD).tolist()
     expansion_prim_odd = sum((s_hat[j] * p_val[j] for j in js), 0j)
     bound_terms = (abs(b1[j]) * abs(s_g[j]) * abs(p_val[j]) for j in js)
-    bound_rhs = math.fsum(bound_terms) / group.phi
+    bound_rhs = math.fsum(bound_terms) / spec.group.phi
     bound_lhs = abs(f_val)
-    return {"b": b, "s": s, "N": cutoff, "F": f_val,
+    return {"b": spec.b, "s": s, "N": cutoff, "F": f_val,
             "expansion_residual": abs(f_val - expansion_prim_odd),
             "restriction_residual": abs(expansion_all - expansion_prim_odd),
             "bound_lhs": bound_lhs, "bound_rhs": bound_rhs, "margin": bound_rhs - bound_lhs}
 
 
 def verify_expansion(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
-    """Check F0 = sum s0_hat * P term by term at the given truncation (keys: _record)."""
+    """Check F0 = sum s0_hat * P term by term at the given truncation (keys: _record).
+    P is summed per character (p_trunc), the order this gated residual is pinned with."""
     if not (math.isfinite(s) and s > 0):
         raise ExponentOutOfRange(f"need a finite s > 0, got {s}")
-    return _record(b, s, cutoff, primes)
+    spec = spectrum_of(b)
+    f_val = f_trunc(spec.table, s, cutoff, primes)
+    p_val = [p_trunc(Character(spec.group, j), s, cutoff, primes) for j in range(spec.group.phi)]
+    return _record(spec, s, cutoff, f_val, p_val)
 
 
 def cross_moment_bound(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
-    """Triangle-inequality bound |F0| <= (1/phi) sum |B1||S_G||P| (keys: _record)."""
+    """Triangle-inequality bound |F0| <= (1/phi) sum |B1||S_G||P| (keys: _record).
+    P comes from p_all, one transform for every character."""
     if not (math.isfinite(s) and s > 0.5):
         raise ExponentOutOfRange(f"need a finite s > 0.5, got {s}")
-    return _record(b, s, cutoff, primes)
+    spec = spectrum_of(b)
+    f_val = f_trunc(spec.table, s, cutoff, primes)
+    return _record(spec, s, cutoff, f_val, p_all(spec.group, s, cutoff, primes).tolist())

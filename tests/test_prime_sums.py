@@ -6,11 +6,13 @@ import pytest
 
 from collspec.characters import Character
 from collspec.collision import collision_invariant
-from collspec.errors import CutoffBelowModulus
+from collspec.errors import CutoffBelowModulus, ExponentOutOfRange
 from collspec.prime_sums import (
+    _class_order,
     _prime_terms,
     cross_moment_bound,
     f_trunc,
+    p_all,
     p_trunc,
     verify_expansion,
 )
@@ -112,3 +114,33 @@ def test_record_computes_prime_terms_once_per_s():
         verify_expansion(7, s, 5000, primes)
     info = _prime_terms.cache_info()
     assert (info.misses, info.hits) == (2, 2 * 41)
+
+
+@pytest.mark.parametrize("cutoff", [2000, 10 ** 5])
+@pytest.mark.parametrize("b", [3, 5, 7, 13, 43])
+def test_transform_route_matches_per_character_sums(b, cutoff):
+    group = spectrum_of(b).group
+    primes = sieve_primes(cutoff)
+    for s in (0.8, 1.2):
+        ref = np.array([p_trunc(Character(group, j), s, cutoff, primes)
+                        for j in range(group.phi)])
+        got = p_all(group, s, cutoff, primes)
+        # ref[0] = sum p^-s bounds every |P| and sets the scale of the rounding
+        assert np.abs(got - ref).max() <= 1e-15 * max(1.0, ref[0].real)
+
+
+def test_transform_route_refuses_underflow():
+    group = spectrum_of(5).group
+    with pytest.raises(ExponentOutOfRange):
+        p_all(group, 1e300, 2000, sieve_primes(2000))
+
+
+def test_class_order_is_built_once_per_base_and_cutoff():
+    # the four s of a sweep base share one dlog-grouped prime list
+    _class_order.cache_clear()
+    primes = sieve_primes(5000)
+    for b in (5, 7):
+        for s in (0.8, 1.0, 1.2, 1.5):
+            cross_moment_bound(b, s, 5000, primes)
+    info = _class_order.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * 3)
