@@ -12,11 +12,11 @@ A verdict gates the worst residual of its rows against a tolerance; a
 NaN residual fails.  Its rows are a column table (name -> numpy array):
 the library's columns, or its dicts of scalars stacked a row per dict.
 All verdicts exist before the first byte is written; the renderers then
-format a column at a time, BLOCK_ROWS rows per block, and stream each
-block.  A complex column is [re, im] in JSON and <key>_re, <key>_im
-elsewhere; JSON writes a non-finite float as null.  Floats carry 17
-significant digits and rows a fixed order, so a rerun reproduces the
-report byte for byte.
+stream BLOCK_ROWS rows at a time, each row through the str.format
+template of its pattern of present cells.  A complex column is [re, im]
+in JSON and <key>_re, <key>_im elsewhere; JSON writes a non-finite
+float as null.  Floats carry 17 significant digits and rows a fixed
+order, so a rerun reproduces the report byte for byte.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
 configuration error (bad base, tolerance, cutoff or exponent, or a
@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TextIO
@@ -317,56 +318,70 @@ def _text(v, json_: bool) -> str:
     return fmt_float(v) if isinstance(v, float) else str(v)
 
 
-def _texts(values: np.ndarray, json_: bool) -> list[str]:
-    """The cells of a column, formatted a whole column at a time."""
-    kind = values.dtype.kind
-    if kind == "c":  # JSON only; the other formats split complex columns
-        return list(map("[{}, {}]".format, _texts(values.real, json_), _texts(values.imag, json_)))
+def _flat(details: dict) -> list[tuple[str, np.ndarray]]:
+    """The columns outside JSON: a complex one becomes <name>_re, <name>_im."""
+    return [kv for name, values in details.items() for kv in (
+        [(f"{name}_re", np.real(values)), (f"{name}_im", np.imag(values))]
+        if np.iscomplexobj(values) else [(name, values)])]
+
+
+def _escape(text: str) -> str:
+    """Literal text inside a format template."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _cell(data: np.ndarray, json_: bool, quote: Callable[[str], str]) -> tuple[str, list]:
+    """A column's format field and the arrays it takes: ints and floats raw,
+    complex (JSON only) as [re, im]; as text a JSON float column with a
+    non-finite value (null) cell by cell, any other column by distinct value."""
+    kind = data.dtype.kind
+    if kind == "c":
+        (real, re_args), (imag, im_args) = (_cell(part, json_, quote) for part in (data.real, data.imag))
+        return f"[{real}, {imag}]", re_args + im_args
+    if kind in "iu" or kind == "f" and not (json_ and not np.isfinite(data).all()):
+        return "{}" if kind in "iu" else "{:.17g}", [data]
     if kind == "f":
-        cells = list(map("{:.17g}".format, values.tolist()))  # fmt_float, minus a call
-        for i in np.flatnonzero(~np.isfinite(values)).tolist() if json_ else ():
-            cells[i] = "null"
-        return cells
-    if kind in "iu":
-        return list(map(str, values.tolist()))
-    # bool and str columns hold few distinct values: format each once
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([_text(v, json_) for v in distinct.tolist()], dtype=object)[inverse].tolist()
+        return "{}", [np.array([_text(x, json_) for x in data.tolist()], dtype=object)]
+    distinct, inverse = np.unique(data, return_inverse=True)
+    return "{}", [np.array([quote(_text(v, json_)) for v in distinct.tolist()], dtype=object)[inverse]]
 
 
-def _flat(name: str, values: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """A column outside JSON: a complex one becomes <name>_re, <name>_im."""
-    if np.iscomplexobj(values):
-        return [(f"{name}_re", np.real(values)), (f"{name}_im", np.imag(values))]
-    return [(name, values)]
+def _render(columns: list[np.ndarray], template: Callable[[list], str], json_: bool = False,
+            quote: Callable[[str], str] = str) -> Iterator[np.ndarray]:
+    """The rows of a column table as text, a block at a time.  Rows with one
+    pattern of present cells (one 1-D unique over the packed presence bits)
+    share one format template, template(fields of the cells, None if absent)."""
+    for start in range(0, len(columns[0]) if columns else 0, BLOCK_ROWS):
+        part = [c[start:start + BLOCK_ROWS] for c in columns]
+        cells = [_cell(np.ma.getdata(c), json_, quote) for c in part]
+        present = [~np.ma.getmaskarray(c) for c in part]
+        groups = [slice(None)]
+        if varying := [p for p in present if p.any() and not p.all()]:
+            packed = np.packbits(np.stack(varying, axis=1), axis=1)
+            _, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
+            groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+        lines = np.empty(len(part[0]), dtype=object)
+        for rows in groups:
+            flags = [p[rows][0] for p in present]
+            fmt = template([field if f else None for (field, _), f in zip(cells, flags)]).format
+            args = [a[rows].tolist() for (_, arrays), f in zip(cells, flags) if f for a in arrays]
+            lines[rows] = list(map(fmt, *args)) if args else [fmt()] * len(lines[rows])
+        yield lines
 
 
-def _block(details: dict, rows: slice, json_: bool, absent=None) -> list[tuple[str, list]]:
-    """(key, cells) of each column over rows; absent cells hold `absent`."""
-    out = []
-    for name, values in details.items():
-        for key, part in [(name, values[rows])] if json_ else _flat(name, values[rows]):
-            cells = _texts(np.ma.getdata(part), json_)
-            for i in np.flatnonzero(np.ma.getmaskarray(part)).tolist():
-                cells[i] = absent
-            out.append((key, cells))
-    return out
-
-
-def _objects(columns: list[tuple[str, list]], indent: int) -> list[str | None]:
-    """Per row, the JSON object of its present cells (None if there are none).
-    A dotted key a.b is key b of the nested object a."""
+def _json_template(names: Iterable[str], fields: Iterable, indent: int) -> str | None:
+    """Template of the JSON object of the present cells' fields (None where absent),
+    a dotted name a.b as key b of the nested object a; None if no cell is present."""
     groups: dict[str, list] = {}
-    for key, cells in columns:
-        outer, dot, inner = key.partition(".")
-        groups.setdefault(outer, []).append((inner, cells) if dot else cells)
+    for name, field in zip(names, fields):
+        outer, dot, inner = name.partition(".")
+        groups.setdefault(outer, []).append((inner, field) if dot else field)
     slots = []
     for key, members in groups.items():
-        cells = _objects(members, indent + 2) if isinstance(members[0], tuple) else members[0]
-        prefix = f'{" " * (indent + 2)}{json.dumps(key)}: '
-        slots.append([c and prefix + c for c in cells])
-    return [f"{{\n{body}\n{' ' * indent}}}" if (body := ",\n".join(filter(None, row))) else None
-            for row in zip(*slots)]
+        field = _json_template(*zip(*members), indent + 2) if isinstance(members[0], tuple) else members[0]
+        if field:
+            slots.append(f"{' ' * (indent + 2)}{_escape(json.dumps(key))}: {field}")
+    return "{{\n" + ",\n".join(slots) + f"\n{' ' * indent}}}}}" if slots else None
 
 
 def render_json(report: Report, out: TextIO) -> None:
@@ -382,9 +397,15 @@ def render_json(report: Report, out: TextIO) -> None:
                   f'      "passed": {_text(v.passed, True)},\n'
                   f'      "worst_residual": {_text(v.worst_residual, True)},\n'
                   f'      "tolerance": {_text(v.tolerance, True)},\n      "details": [')
-        for start in range(0, v.rows, BLOCK_ROWS):
-            objects = _objects(_block(v.details, slice(start, start + BLOCK_ROWS), True), 8)
-            out.write("," * bool(start) + ",".join(f"\n        {o or '{}'}" for o in objects))
+        # The columns in the order of their JSON cells: by the first appearance
+        # of each dotted prefix, as _json_template nests them.
+        first: dict[str, int] = {}
+        names = sorted(v.details, key=lambda n: [first.setdefault(n.rsplit(".", k)[0], len(first))
+                                                 for k in range(n.count("."), -1, -1)])
+        blocks = _render([v.details[n] for n in names], lambda fields: "\n        " + (
+            _json_template(names, fields, 8) or "{{}}"), json_=True)
+        for start, lines in enumerate(blocks):
+            out.write("," * bool(start) + ",".join(lines))
         out.write(("\n      ]" if v.rows else "]") + "\n    }")
     out.write("\n  ]\n}\n")
 
@@ -392,21 +413,27 @@ def render_json(report: Report, out: TextIO) -> None:
 def _csv_header(report: Report) -> list[str]:
     """The union of the tables' columns that hold a cell; check first when
     there are several verdicts."""
-    keys = [key for v in report.verdicts for name, values in v.details.items()
-            if not np.ma.getmaskarray(values).all() for key, _ in _flat(name, values)]
+    keys = [key for v in report.verdicts for key, values in _flat(v.details)
+            if not np.ma.getmaskarray(values).all()]
     return list(dict.fromkeys(["check", *keys] if len(report.verdicts) > 1 and keys else keys))
 
 
 def render_csv(report: Report, out: TextIO) -> None:
     columns = COMMANDS[report.config.command].columns or _csv_header(report)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
+    csv.writer(out, lineterminator="\n").writerow(columns)
+
+    def quote(text: str) -> str:  # as csv.writer writes it in a row of len(columns) fields
+        row, buf = [text, ""][:min(len(columns), 2)], io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(row)
+        return buf.getvalue()[:-len(row)]
+
+    empty = quote("")  # an absent cell: '""' when it is the row's only field
     for v in report.verdicts:
-        for start in range(0, v.rows, BLOCK_ROWS):
-            k = min(BLOCK_ROWS, v.rows - start)
-            cells = {"check": [v.check_name] * k,
-                     **dict(_block(v.details, slice(start, start + k), False, ""))}
-            writer.writerows(zip(*(cells.get(key, [""] * k) for key in columns)))
+        table = dict(_flat(v.details))
+        table.setdefault("check", np.broadcast_to(np.array(v.check_name), v.rows))
+        cells = [table[key] if key in table else np.ma.masked_all(v.rows) for key in columns]
+        out.writelines("".join(lines) for lines in _render(
+            cells, lambda fields: ",".join(f or empty for f in fields) + "\n", quote=quote))
 
 
 PRETTY_ROW_LIMIT = 12
@@ -426,9 +453,9 @@ def render_pretty(report: Report, out: TextIO) -> None:
             f"  tol={v.tolerance:.1e}  rows={n}"
         )
         if 0 < n <= PRETTY_ROW_LIMIT:
-            keys, columns = zip(*_block(v.details, slice(0, n), json_=False))
-            lines += ["    " + ", ".join(f"{key}={c}" for key, c in zip(keys, row) if c is not None)
-                      for row in zip(*columns)]
+            keys, cells = zip(*_flat(v.details))
+            lines += next(_render(list(cells), lambda fields: "    " + ", ".join(
+                f"{_escape(key)}={f}" for key, f in zip(keys, fields) if f))).tolist()
         elif n > PRETTY_ROW_LIMIT:
             lines.append(f"    ({n} rows; use --format csv or json)")
     lines.append(f"overall {'PASS' if report.passed else 'FAIL'}")

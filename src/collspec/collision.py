@@ -8,6 +8,9 @@ agree:
     d_n(a) = floor((n+1)*a/m) - floor(n*a/m),
     S(a)   = -1 - floor(a/b) + sum_{n in G} d_n(a).
 
+The sum over G is two floor sums over r < b, each taken by a Euclid-like
+reduction: O(phi log m) for the table rather than O(b*phi).
+
 Centering subtracts the mean of S over the coset a = k (mod b).  Every
 coset mean and every centered value S0 is a rational over the single
 denominator b, so the table keeps the integer numerators
@@ -34,13 +37,8 @@ class DiagonalSet:
 
 
 def diagonal_set(b: int) -> DiagonalSet:
-    """Closed form {r*(b+1) : 0 <= r < b}; see diagonal_set_by_scan."""
+    """Closed form {r*(b+1) : 0 <= r < b}."""
     return DiagonalSet(b=b, members=tuple(r * (b + 1) for r in range(b)))
-
-
-def diagonal_set_by_scan(b: int) -> tuple[int, ...]:
-    """Digit-coincidence scan over all of [0, b**2); the slow twin."""
-    return tuple(n for n in range(b * b) if n // b == n % b)
 
 
 def coset_sums(b: int, units: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -68,6 +66,24 @@ class CollisionTable:
     class_sums: np.ndarray
 
 
+FLOOR_SUM_BLOCK = 1 << 14  # units per floor_sums call: temporaries of 128 KB each
+
+
+def floor_sums(n, alpha, gamma, mu) -> np.ndarray:
+    """sum_{i<n} floor((alpha*i + gamma)/mu) elementwise over broadcast int64
+    arrays (n, alpha, gamma >= 0, mu > 0) by the Euclid-like reduction:
+    O(log mu) passes, no intermediate above the result or mu*(n + 1)."""
+    n, alpha, gamma, mu = np.broadcast_arrays(n, alpha, gamma, mu)
+    total, live = np.zeros(n.shape, dtype=np.int64), np.arange(n.size)
+    while live.size:  # take out alpha // mu and gamma // mu, then swap alpha and mu
+        (q, alpha), (r, gamma) = np.divmod(alpha, mu), np.divmod(gamma, mu)
+        total[live] += n * (n - 1) // 2 * q + n * r
+        y = alpha * n + gamma
+        go = y >= mu  # else every term is below mu: done
+        live, (n, gamma), alpha, mu = live[go], np.divmod(y[go], mu[go]), mu[go], alpha[go]
+    return total
+
+
 def collision_invariant(group: UnitGroup) -> CollisionTable:
     """Tabulate S and S0 over the units of the mod-b**2 group."""
     if group.q != group.b**2:
@@ -75,14 +91,18 @@ def collision_invariant(group: UnitGroup) -> CollisionTable:
     b, m = group.b, group.q
     units = group.units
 
-    # One diagonal slice at a time keeps the memory O(phi); every product
-    # stays below m**2 <= MAX_BASE**4 < 2**63.
+    # With n = r*(b+1) and A = (b+1)*a mod m (multiples of m cancel), the sum over
+    # G is sum_{r<b} floor((r*A + a)/m) - floor(r*A/m), in blocks of units: O(phi)
+    # memory.  As A, a < m, every value stays below m*(b + 1) <= MAX_BASE**3 < 2**63.
     s = -1 - units // b
-    for n in diagonal_set(b).members:
-        s += (n + 1) * units // m - n * units // m
+    for lo in range(0, len(units), FLOOR_SUM_BLOCK):
+        a = units[lo:lo + FLOOR_SUM_BLOCK]
+        step = (b + 1) * a % m
+        s[lo:lo + FLOOR_SUM_BLOCK] += floor_sums(b, step, a, m) - floor_sums(b, step, 0, m)
 
     class_sums = coset_sums(b, units, s)
-    s0_num = b * s - class_sums[units % b]
+    s0_num = class_sums[units % b]
+    np.subtract(b * s, s0_num, out=s0_num)  # at most three length-phi arrays at once
     for arr in (s, s0_num, class_sums):
         arr.flags.writeable = False
     return CollisionTable(m=m, b=b, units=units, S=s, S0_num=s0_num, class_sums=class_sums)

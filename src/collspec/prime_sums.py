@@ -17,7 +17,8 @@ then gives the cross-moment bound
     |F0(s)| <= (1/phi) * sum |B1| |S_G| |P(s, chi)|,
 
 whose margin is reported for (b, s, N) grids.  p^{-s} is evaluated as
-exp(-s ln p), and sums are numpy pairwise sums, not BLAS dots, whose
+exp(-s ln p), with ln p taken once per (base, cutoff) for every s and
+both routes, and sums are numpy pairwise sums, not BLAS dots, whose
 threads make the last digits and the run time follow the thread count
 and the load.  P has two routes:
 
@@ -27,10 +28,10 @@ and the load.  P has two routes:
   as it is, so the gated check keeps the order it was pinned with.
 - p_all gives every chi at once.  With c[t] the sum of p^{-s} over the
   primes of dlog class t, P(s, chi_j) = sum_t c[t] e(jt/phi) is one
-  length-phi FFT.  Each c[t] is a pairwise sum over the class's run of a
-  cached, dlog-grouped prime list; bincount and add.reduceat would sum
-  sequentially, which raises the rounding by more than an order of
-  magnitude.  cross_moment_bound takes this route.
+  length-phi FFT.  Each c[t] is a pairwise sum over the class's run of the
+  primes, taken in a cached order that groups them by dlog; bincount and
+  add.reduceat would sum sequentially, which raises the rounding by more
+  than an order of magnitude.  cross_moment_bound takes this route.
 
 F0 is always summed directly over the ascending primes.
 """
@@ -66,11 +67,20 @@ def _underflow(s: float, p_min: int) -> ExponentOutOfRange:
 
 
 @lru_cache(maxsize=1)
+def _log_primes(q: int, cutoff: int, primes: PrimeList) -> tuple[np.ndarray, np.ndarray]:
+    """The primes of (q, cutoff], ascending, and their ln p, for every s of a run."""
+    p_arr = _primes_in_range(primes, q, cutoff)
+    log_p = np.log(p_arr.astype(float))
+    log_p.flags.writeable = False
+    return p_arr, log_p
+
+
+@lru_cache(maxsize=1)
 def _prime_terms(group: UnitGroup, s: float, cutoff: int,
                  primes: PrimeList) -> tuple[np.ndarray, np.ndarray]:
     """p^{-s} and dlog p over q < p <= cutoff, shared by the phi characters of a record."""
-    p_arr = _primes_in_range(primes, group.q, cutoff)
-    terms = np.exp(-s * np.log(p_arr.astype(float))), group.dlog[p_arr % group.q]
+    p_arr, log_p = _log_primes(group.q, cutoff, primes)
+    terms = np.exp(-s * log_p), group.dlog[p_arr % group.q]
     if terms[0][0] == 0.0:  # the largest term: every term, and so every sum, would be 0
         raise _underflow(s, p_arr[0])
     for arr in terms:
@@ -80,16 +90,15 @@ def _prime_terms(group: UnitGroup, s: float, cutoff: int,
 
 @lru_cache(maxsize=1)
 def _class_order(group: UnitGroup, cutoff: int, primes: PrimeList) -> tuple[np.ndarray, list[int]]:
-    """ln p over q < p <= cutoff grouped by dlog p, ascending within a class, and
-    the phi + 1 run bounds: class t is log_p[bounds[t]:bounds[t + 1]].  Shared by
-    every s of a run; ln p rather than p, since each record needs only ln p."""
-    p_arr = _primes_in_range(primes, group.q, cutoff)
+    """The permutation that groups the primes of _log_primes by dlog p, ascending
+    within a class, and the phi + 1 run bounds: class t is
+    order[bounds[t]:bounds[t + 1]].  Shared by every s of a run."""
+    p_arr, _ = _log_primes(group.q, cutoff, primes)
     keys = group.dlog[p_arr % group.q].astype(np.int32)
-    log_p = p_arr[np.argsort(keys, kind="stable")].astype(float)
-    np.log(log_p, out=log_p)
-    log_p.flags.writeable = False
+    order = np.argsort(keys, kind="stable").astype(np.int32)  # pi(cutoff) < 2**31
+    order.flags.writeable = False
     counts = np.bincount(keys, minlength=group.phi)  # integer counts: exact
-    return log_p, [0, *np.cumsum(counts).tolist()]
+    return order, [0, *np.cumsum(counts).tolist()]
 
 
 def p_trunc(chi: Character, s: float, cutoff: int, primes: PrimeList) -> complex:
@@ -103,21 +112,25 @@ def p_trunc(chi: Character, s: float, cutoff: int, primes: PrimeList) -> complex
 
 def p_all(group: UnitGroup, s: float, cutoff: int, primes: PrimeList) -> np.ndarray:
     """P(s, chi_j) for j = 0..phi-1, by dlog class sums and one FFT."""
-    log_p, bounds = _class_order(group, cutoff, primes)
-    weights = np.exp(-s * log_p)
+    p_arr, log_p = _log_primes(group.q, cutoff, primes)
+    order, bounds = _class_order(group, cutoff, primes)
+    weights = -s * log_p[order]
+    np.exp(weights, out=weights)
     if not weights.any():  # every sum would be 0
-        raise _underflow(s, _primes_in_range(primes, group.q, cutoff)[0])
+        raise _underflow(s, p_arr[0])
     c = np.array([weights[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
     return np.fft.ifft(c, norm="forward")  # unscaled: sum_t c[t] e(jt/phi)
 
 
 def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> float:
     """F0(s) = sum over m < p <= cutoff of S0(p mod m) p^{-s}."""
-    p_arr = _primes_in_range(primes, table.m, cutoff)
-    weights = np.exp(-s * np.log(p_arr.astype(float)))
+    p_arr, log_p = _log_primes(table.m, cutoff, primes)
     s0 = np.zeros(table.m)
     s0[table.units] = table.S0_num / table.b
-    return float((weights * s0[p_arr % table.m]).sum())
+    terms = s0[p_arr % table.m]  # first, and exp in place: two arrays of pi(N) at most
+    weights = -s * log_p
+    terms *= np.exp(weights, out=weights)
+    return float(terms.sum())
 
 
 def _record(spec: Spectrum, s: float, cutoff: int, f_val: float, p_val: list) -> dict:

@@ -4,14 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collspec.collision import (
+    coset_sums,
     collision_invariant,
     diagonal_set,
-    diagonal_set_by_scan,
+    floor_sums,
 )
 from collspec.errors import WrongModulus
-from collspec.unit_group import Level, build_unit_group
+from collspec.unit_group import Level, build_unit_group, is_odd_prime
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                 61, 67, 71, 73, 79, 83, 89, 97]
@@ -27,6 +30,11 @@ def test_diagonal_set_b3():
 
 def test_diagonal_set_b5():
     assert diagonal_set(5).members == (0, 6, 12, 18, 24)
+
+
+def diagonal_set_by_scan(b):
+    """Digit-coincidence scan over all of [0, b**2)."""
+    return tuple(n for n in range(b * b) if n // b == n % b)
 
 
 @pytest.mark.parametrize("b", PRIMES_TO_97)
@@ -63,6 +71,35 @@ def test_direct_sum_oracle(b):
             (n + 1) * a // m - n * a // m for n in diag
         )
         assert s == expected
+
+
+def collision_by_rows(group):
+    """Oracle: one diagonal row at a time, two int64 floor divisions over all
+    units per row, O(b*phi); every product stays below m**2 < 2**63."""
+    b, m, units = group.b, group.q, group.units
+    s = -1 - units // b
+    for n in diagonal_set(b).members:
+        s += (n + 1) * units // m - n * units // m
+    class_sums = coset_sums(b, units, s)
+    return s, b * s - class_sums[units % b], class_sums
+
+
+@pytest.mark.parametrize("b", [b for b in range(3, 252) if is_odd_prime(b)] + [499])
+def test_floor_sums_match_row_oracle(b):
+    group = build_unit_group(b, Level.MOD_B_SQUARED)
+    t = collision_invariant(group)
+    for got, want in zip((t.S, t.S0_num, t.class_sums), collision_by_rows(group)):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 10**6),
+                          st.integers(0, 10**6), st.integers(1, 10**6)), min_size=1, max_size=8))
+def test_floor_sums_brute_force(cases):
+    n, alpha, gamma, mu = map(np.array, zip(*cases))
+    want = [sum((a * i + g) // u for i in range(k)) for k, a, g, u in cases]
+    assert floor_sums(n, alpha, gamma, mu).tolist() == want
 
 
 @pytest.mark.parametrize("b", PRIMES_TO_97)

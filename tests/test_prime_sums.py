@@ -9,6 +9,7 @@ from collspec.collision import collision_invariant
 from collspec.errors import CutoffBelowModulus, ExponentOutOfRange
 from collspec.prime_sums import (
     _class_order,
+    _log_primes,
     _prime_terms,
     cross_moment_bound,
     f_trunc,
@@ -137,10 +138,13 @@ def test_transform_route_refuses_underflow():
 
 def test_class_order_is_built_once_per_base_and_cutoff():
     # the four s of a sweep base share one dlog-grouped prime list
+    # and, with F0, one ln p
     _class_order.cache_clear()
+    _log_primes.cache_clear()
     primes = sieve_primes(5000)
     for b in (5, 7):
         for s in (0.8, 1.0, 1.2, 1.5):
             cross_moment_bound(b, s, 5000, primes)
     info = _class_order.cache_info()
     assert (info.misses, info.hits) == (2, 2 * 3)
+    assert _log_primes.cache_info().misses == 2
