@@ -14,11 +14,22 @@ Bernoulli number of the conjugate character and
 
     S_G(chi) = sum_{n in G} [conj(chi)(n+1) - conj(chi)(n)]
 
-is the diagonal character sum.  verify_proof_steps re-derives the
-factorization one ingredient at a time, for every primitive odd chi at
-once.  Each ingredient is a character sum sum_a f(a) * conj(chi(a)),
-one FFT of f along the discrete-log axis (the transform behind s_hat
-and B1 below), held against its closed form:
+is the diagonal character sum.
+
+Every character sum here, sum_a f(a) * conj(chi_j(a)) for all j at once,
+is one FFT of f along the discrete-log axis a = g**t (float64, numpy's
+pocketfft), since conj(chi_j)(g**t) = e(-jt/phi): s0_hat, B1, tau, and
+S_G and P_short from their terms' histograms over t.  Only S_G's b - 1
+entries j = 0 mod b are summed term by term, bit for bit diagonal_sum:
+it vanishes there for odd j, and the transform's rounding (8.9e-15 at
+b = 61, against 9.0e-16) would cost that check a decade.  Measured:
+factorization residual 3.1e-16, 5.6e-16, 4.7e-16 and 6.3e-16 at b = 13,
+43, 97 and 199; |s0_hat| on the vanishing families below 2.1e-16; |S_G|
+on imprimitive odd chi up to 2.1e-15 at b = 199; the arrays within
+1.2e-13 of the direct per-character sums at b = 43.
+
+verify_proof_steps re-derives the factorization for every primitive odd
+chi at once, each ingredient a transform held against its closed form:
 
   * the centering term and the fractional-part sum vanish coset by
     coset (every coset {a = k mod b} sums conj(chi) to zero when chi is
@@ -30,25 +41,15 @@ and B1 below), held against its closed form:
   * the endpoint slices n = 0 and n = m-1 contribute nothing,
   * and in total sum_a S(a) * conj(chi(a)) = -B1 * conj(S_G).
 
-The lemma itself takes an independent route, not the substitution that
-proves it: a real matrix product of {n*a/m} over all units n and a,
-against every chi, in blocks of LEMMA_BLOCK entries.  The worst step
-residual at b = 31 is 4.8e-13, the floor step; every step agrees with
-the per-character direct sums within 5.0e-13 there.
+The lemma is checked for every unit n, not by that substitution: each
+row {n*a/m} is transformed from its own exact integers n*a mod m.  The
+worst step residual at b = 31 is 4.8e-13, the floor step (the lemma's
+is 2.8e-14); every step agrees with the per-character direct sums
+within 5.0e-13 there.
 
 Even characters and imprimitive odd characters are annihilated: the
 first by coset constancy against a mean-zero table, the second because
 S_G telescopes to psi(b) - psi(0) = 0 for the inducing character psi.
-
-spectrum_of computes every character at once: s0_hat, B1 and tau are
-one FFT each along the discrete-log axis a = g**t (float64, numpy's
-pocketfft), and Spectrum.factorization_residual holds the residual of
-the factorization for every chi.  Measured residuals on that route:
-factorization 3.8e-16, 6.5e-16, 5.8e-16 and 9.0e-16 at b = 13, 43, 97
-and 199; |s0_hat| on the vanishing families below 2.1e-16; |S_G| on
-imprimitive odd chi, summed term by term, up to 2.1e-15 at b = 199.
-The arrays agree with the direct per-character sums within 1.2e-13 at
-b = 43.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import Character, Family, _unit_phases, family_mask, roots_of_unity
-from .collision import CollisionTable, DiagonalSet, collision_invariant, diagonal_set
+from .collision import CollisionTable, collision_invariant, diagonal_set
 from .errors import NotPrimitiveOdd, WrongModulus
 from .unit_group import Level, UnitGroup, build_unit_group
 
@@ -88,13 +89,11 @@ def bernoulli_b1(chi: Character) -> complex:
     return complex(np.dot(weights, np.conj(chi.values_on_units()))) / g.q
 
 
-def diagonal_sum(chi: Character, diag: DiagonalSet | None = None) -> complex:
+def diagonal_sum(chi: Character) -> complex:
     """S_G(chi) = sum_{n in G} [conj(chi)(n+1) - conj(chi)(n)]."""
-    if diag is None:
-        diag = diagonal_set(chi.group.b)
     chibar = chi.conjugate()
     total = 0j
-    for n in diag.members:
+    for n in diagonal_set(chi.group.b).members:
         total += chibar.value(n + 1) - chibar.value(n)
     return total
 
@@ -139,12 +138,14 @@ def dual_transforms(group: UnitGroup) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return b1, tau, 1j * np.pi * tau * b1 / group.q
 
 
-def _conj_values(group: UnitGroup, n: int) -> np.ndarray:
-    """conj(chi_j)(n) for every j: the value chi_{-j}.value(n) looks up."""
-    t = group.dlog[n % group.q]
-    if t < 0:
-        return np.zeros(group.phi, dtype=complex)
-    return roots_of_unity(group.phi)[-np.arange(group.phi) % group.phi * t % group.phi]
+def _term_sums(group: UnitGroup, plus: np.ndarray, minus: np.ndarray = ()) -> np.ndarray:
+    """sum_n conj(chi_j)(n) over the terms n in plus less those in minus, for every
+    j: one FFT, in place, of the signed histogram of their dlogs (non-units drop out)."""
+    h = np.zeros(group.phi, dtype=complex)
+    for terms, sign in ((plus, 1), (minus, -1)):
+        t = group.dlog[np.asarray(terms, dtype=np.int64) % group.q]
+        np.add.at(h, t[t >= 0], sign)
+    return np.fft.fft(h, out=h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,22 +189,23 @@ def spectrum_of(b: int) -> Spectrum:
     """The spectrum of base b, built once per process."""
     group = build_unit_group(b, Level.MOD_B_SQUARED)
     table = collision_invariant(group)
-    j = np.arange(group.phi)
+    phi, j = group.phi, np.arange(group.phi)
+    # S_G and P_short first: after dual_transforms they would raise the peak.
+    members = np.array(diagonal_set(b).members)
+    s_g = _term_sums(group, members + 1, members)
+    p_short = _term_sums(group, np.arange(1, b))
     b1, tau, l1 = dual_transforms(group)
-    # S_G and P_short have only 2b and b-1 terms.  Summed term by term in
-    # the order of diagonal_sum and short_partial_sum they equal those sums
-    # bit for bit; a transform would add rounding to the vanishing S_G.
-    s_g = np.zeros(group.phi, dtype=complex)
-    for n in diagonal_set(b).members:
-        s_g += _conj_values(group, n + 1) - _conj_values(group, n)
-    p_short = np.zeros(group.phi, dtype=complex)
-    for k in range(1, b):
-        p_short += _conj_values(group, k)
-    s_hat = np.fft.fft(_by_dlog(group, table.S0_num / b)) / group.phi
-    arrays = dict(
-        s_hat=s_hat, B1=b1, S_G=s_g, P_short=p_short, tau=tau, L1=l1,
-        odd=j % 2 == 1, primitive=j % b != 0,
-    )
+    s_hat = np.fft.fft(_by_dlog(group, table.S0_num / b)) / phi
+    # S_G at j = 0 mod b term by term, as diagonal_sum sums it (see the docstring).
+    roots, jb = roots_of_unity(phi), j[::b]
+
+    def conj_chi(n: int) -> np.ndarray:  # conj(chi_j)(n) on those entries
+        t = group.dlog[n % group.q]
+        return roots[-jb * t % phi] if t >= 0 else np.zeros(b - 1, dtype=complex)
+
+    s_g[::b] = sum((conj_chi(n + 1) - conj_chi(n) for n in members.tolist()), 0j)
+    arrays = dict(s_hat=s_hat, B1=b1, S_G=s_g, P_short=p_short, tau=tau, L1=l1,
+                  odd=j % 2 == 1, primitive=j % b != 0)
     for arr in arrays.values():
         arr.flags.writeable = False
     return Spectrum(b=b, group=group, table=table, **arrays)
@@ -212,9 +214,9 @@ def spectrum_of(b: int) -> Spectrum:
 # ====== the proof steps, for every primitive odd chi at once ======
 
 
-# Entries the lemma holds at a time in its block of {n*a/m} and in its
-# block of character values: 16 MB of float64 each while phi <= 2**21,
-# one row and one character a block above that.
+# Entries of {n*a/m} the lemma transforms at a time, LEMMA_BLOCK // phi rows:
+# 16 MB of float64, and 32 MB as their FFT, while phi <= 2**21; one row a
+# block above that.
 LEMMA_BLOCK = 1 << 21
 
 
@@ -231,35 +233,31 @@ def verify_proof_steps(b: int) -> dict[str, np.ndarray]:
     group, table = spec.group, spec.table
     m, phi, units = group.q, group.phi, group.units
     js = spec.indices(Family.PRIMITIVE_ODD)
-    b1 = spec.B1[js]
+    b1, roots = spec.B1[js], roots_of_unity(phi)
 
     def transform(values: np.ndarray) -> np.ndarray:  # sum_a values(a) conj(chi_j(a))
         return np.fft.fft(_by_dlog(group, values.astype(float)))[js]
 
-    def chi(n: int) -> np.ndarray:  # chi_j(n) = conj(chi_{-j})(n)
-        return _conj_values(group, n)[-js % phi]
+    def chi(n):  # chi_j(n) for units n, an int or a column of them
+        return roots[group.dlog[n] * js % phi]
 
     slice_worst = np.zeros(len(js))
     for n in diagonal_set(b).members:
-        if 0 < n < m - 1:  # interior; the endpoint slices follow
+        if 0 < n < m - 1:  # interior, so n and n + 1 are units; the endpoint slices follow
             d_n = (n + 1) * units // m - n * units // m
             rhs = (1 + chi(n) - chi(n + 1)) * b1
             slice_worst = np.maximum(slice_worst, magnitudes(transform(d_n) - rhs))
 
-    # The lemma for every unit n: blocks of rows {n*a/m}, from the exact
-    # integers n*a mod m, times blocks of characters as real matrix products.
-    roots, t = roots_of_unity(phi), group.dlog[units]
+    # The lemma for every unit n: one FFT per row {n*a/m} along a = g**t, each row
+    # from its own exact integers n*a mod m (not shifted from another row).
+    powers = _by_dlog(group, units)
     step = max(1, LEMMA_BLOCK // phi)
     lemma = np.zeros(len(js))
-    for c in range(0, len(js), step):
-        jc, b1c = js[c : c + step], b1[c : c + step]
-        turns = np.outer(t, -jc) % phi  # conj(chi_j(a)) = e(turns / phi), a down the rows
-        re, im = roots.real[turns], roots.imag[turns]
-        for r in range(0, phi, step):
-            frac = (units[r : r + step, None] * units % m) / m  # n*a < m**2 < 2**63
-            rhs = roots[np.outer(t[r : r + step], jc) % phi] * b1c  # chi_j(n) B1
-            gap = magnitudes(frac @ re - rhs.real + 1j * (frac @ im - rhs.imag))
-            lemma[c : c + step] = np.maximum(lemma[c : c + step], gap.max(axis=0))
+    for r in range(0, phi, step):
+        rows = units[r : r + step, None]
+        frac = rows * powers % m / m  # n*a < m**2 < 2**63
+        gap = magnitudes(np.fft.fft(frac)[:, js] - chi(rows) * b1)
+        lemma = np.maximum(lemma, gap.max(axis=0))
 
     return {
         "b": np.full(len(js), b),

@@ -22,7 +22,7 @@ from .errors import BaseOutOfRange, LimitTooLarge, NotOddPrime
 
 # Supported bases: the largest prime whose modelled peak RSS, 48 MB + 330 bytes
 # per phi = b(b-1), is at most 4 GB (3.99 GB at b = 3583).  The model bounds
-# `verify decompose` at b = 199, 499 and 997 from above (56.8, 109, 343 MB).
+# `verify decompose` at b = 199, 499 and 997 from above (51.6, 105, 328 MB).
 MAX_BASE = 3583
 
 # Sieve memory bound: one byte per odd candidate, 0.5 GB at the bound.

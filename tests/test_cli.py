@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from collspec import lvalues, prime_sums
+from collspec import collision, lvalues, prime_sums, spectrum
 from collspec.cli import main
 
 
@@ -263,6 +263,22 @@ def test_broken_l_value_fails_classnumber(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] classnumber" in out
     assert "Traceback" not in out + err
+
+
+def test_broken_diagonal_set_fails_decompose(capsys, monkeypatch):
+    def moved(b):  # the member 1*(b+1) moved by 1: S_G no longer matches s_hat
+        members = list(collision.diagonal_set(b).members)
+        members[1] += 1
+        return collision.DiagonalSet(b=b, members=tuple(members))
+
+    monkeypatch.setattr(spectrum, "diagonal_set", moved)
+    spectrum.spectrum_of.cache_clear()
+    try:
+        code, out, _ = run_main(capsys, "verify", "decompose", "--base", "13", "--format", "pretty")
+    finally:
+        spectrum.spectrum_of.cache_clear()
+    assert code == 1
+    assert "[FAIL] decompose" in out
 
 
 def test_sweep_grid(capsys):
