@@ -80,7 +80,8 @@ def _prime_terms(group: UnitGroup, s: float, cutoff: int,
                  primes: PrimeList) -> tuple[np.ndarray, np.ndarray]:
     """p^{-s} and dlog p over q < p <= cutoff, shared by the phi characters of a record."""
     p_arr, log_p = _log_primes(group.q, cutoff, primes)
-    terms = np.exp(-s * log_p), group.dlog[p_arr % group.q]
+    with np.errstate(over="ignore"):  # -s ln p = -inf gives p^-s = 0, as it should
+        terms = np.exp(-s * log_p), group.dlog[p_arr % group.q]
     if terms[0][0] == 0.0:  # the largest term: every term, and so every sum, would be 0
         raise _underflow(s, p_arr[0])
     for arr in terms:
@@ -94,7 +95,8 @@ def _class_order(group: UnitGroup, cutoff: int, primes: PrimeList) -> tuple[np.n
     within a class, and the phi + 1 run bounds: class t is
     order[bounds[t]:bounds[t + 1]].  Shared by every s of a run."""
     p_arr, _ = _log_primes(group.q, cutoff, primes)
-    keys = group.dlog[p_arr % group.q].astype(np.int32)
+    # the least unsigned type: below phi = 2**16 numpy's stable sort is a radix sort
+    keys = group.dlog[p_arr % group.q].astype(np.min_scalar_type(group.phi - 1))
     order = np.argsort(keys, kind="stable").astype(np.int32)  # pi(cutoff) < 2**31
     order.flags.writeable = False
     counts = np.bincount(keys, minlength=group.phi)  # integer counts: exact
@@ -114,7 +116,8 @@ def p_all(group: UnitGroup, s: float, cutoff: int, primes: PrimeList) -> np.ndar
     """P(s, chi_j) for j = 0..phi-1, by dlog class sums and one FFT."""
     p_arr, log_p = _log_primes(group.q, cutoff, primes)
     order, bounds = _class_order(group, cutoff, primes)
-    weights = -s * log_p[order]
+    with np.errstate(over="ignore"):  # -inf: p^-s underflows to 0, refused below
+        weights = -s * log_p[order]
     np.exp(weights, out=weights)
     if not weights.any():  # every sum would be 0
         raise _underflow(s, p_arr[0])
@@ -128,7 +131,8 @@ def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> 
     s0 = np.zeros(table.m)
     s0[table.units] = table.S0_num / table.b
     terms = s0[p_arr % table.m]  # first, and exp in place: two arrays of pi(N) at most
-    weights = -s * log_p
+    with np.errstate(over="ignore"):  # -inf gives p^-s = 0, as it should
+        weights = -s * log_p
     terms *= np.exp(weights, out=weights)
     return float(terms.sum())
 

@@ -96,6 +96,20 @@ def test_closed_pipe_is_usage_error(argv, lines):
     assert err.startswith("error: BrokenPipeError") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("expansion", "--base", "5", "--s", "1e308", "--cutoff", "2000"),
+    ("cross-moment", "--base", "5", "--s", "1e308", "--cutoff", "2000"),
+    ("sweep", "--bases", "5", "--s", "1e308", "--cutoff", "2000"),
+])
+def test_overflowing_exponent_is_one_error_line(argv):
+    # -s ln p overflows to -inf; numpy must not warn on stderr before the error
+    proc = subprocess.run([sys.executable, "-m", "collspec", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ExponentOutOfRange")
+
 def test_bad_tol_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "decompose", "--base", "5", "--tol", "0"])
@@ -301,6 +315,40 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["passed"] is True
 
 
+# The child imports the entry point as the console script does, then
+# prints the variable and the thread count of numpy's own OpenBLAS.
+BLAS_PROBE = """
+import ctypes, json, os
+from pathlib import Path
+import collspec.__main__
+import numpy
+threads = None
+libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+for lib in sorted(libs.glob("*openblas*")):
+    handle = ctypes.CDLL(str(lib))
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if threads is None and hasattr(handle, sym):
+            getter = getattr(handle, sym)
+            getter.restype, getter.argtypes = ctypes.c_int, []
+            threads = getter()
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads,
+                  len(os.sched_getaffinity(0))]))
+"""
+
+
+@pytest.mark.parametrize("given,pinned", [(None, "1"), ("2", "2")])
+def test_entry_point_pins_blas_threads(given, pinned):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    value, threads, nproc = json.loads(proc.stdout)
+    assert value == pinned
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
+    assert threads == min(int(pinned), nproc)  # OpenBLAS caps its pool at the cores
+
 # Reports pinned byte for byte in tests/golden/, in each format, with the
 # exit code.  Rewrite the files with `PYTHONPATH=src python tests/test_cli.py`.
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -341,6 +389,26 @@ def test_report_matches_golden(capsys, argv, code, fmt):
     if fmt == "json":
         strict_json(golden)
 
+
+THREAD_CASES = [
+    ("verify", "decompose", "--bases", "3,5"),
+    ("lvalue", "--base", "5", "--cutoff", "1000"),
+    ("cross-moment", "--base", "5", "--s", "1.2", "--cutoff", "2000"),
+    ("dump-collision", "--base", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", THREAD_CASES, ids=" ".join)
+def test_reports_do_not_depend_on_blas_threads(argv):
+    # the entry point pins OpenBLAS to one thread; that is safe only while
+    # no command makes a BLAS call whose result follows the thread count
+    golden = golden_path(argv, "json").read_bytes()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "collspec", *argv, "--format", "json"],
+                              env=env, capture_output=True)
+        assert proc.returncode == 0
+        assert proc.stdout == golden, f"OPENBLAS_NUM_THREADS={threads}"
 
 if __name__ == "__main__":
     import contextlib

@@ -136,6 +136,17 @@ def test_transform_route_refuses_underflow():
         p_all(group, 1e300, 2000, sieve_primes(2000))
 
 
+@pytest.mark.parametrize("b", [5, 7, 13, 97, 257])  # uint8, uint8, uint8, uint16, uint32 keys
+def test_class_order_matches_int64_stable_argsort(b):
+    group = build_unit_group(b)
+    cutoff = 3 * group.q
+    primes = sieve_primes(cutoff)
+    order, bounds = _class_order(group, cutoff, primes)
+    p_arr, _ = _log_primes(group.q, cutoff, primes)
+    keys = group.dlog[p_arr % group.q]
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert bounds == [0, *np.cumsum(np.bincount(keys, minlength=group.phi)).tolist()]
+
 def test_class_order_is_built_once_per_base_and_cutoff():
     # the four s of a sweep base share one dlog-grouped prime list
     # and, with F0, one ln p
