@@ -52,9 +52,9 @@ import numpy as np
 
 from . import collision, lvalues, packet, prime_sums, spectrum
 from .characters import Character, Family
-from .errors import VerificationError, NotOddPrime
+from .errors import VerificationError
 from .spectrum import magnitudes
-from .unit_group import Level, build_unit_group, is_odd_prime, sieve_primes
+from .unit_group import Level, build_unit_group, check_base, is_odd_prime, sieve_primes
 
 OUT_DIR_ENV = "COLLSPEC_OUT_DIR"
 DEFAULT_CUTOFF = 1_000_000
@@ -558,8 +558,7 @@ def _config_from_args(args: argparse.Namespace,
     if not bases:
         parser.error(f"{name} needs --base or --bases")
     for b in bases:
-        if not is_odd_prime(b):
-            raise NotOddPrime(f"base must be an odd prime, got {b}")
+        check_base(b)
     if command.single_base and len(bases) != 1:
         parser.error(f"{name} takes exactly one base")
 

@@ -35,8 +35,8 @@ import math
 
 import numpy as np
 
-from .characters import Character, Family, companion_mod_b
-from .errors import BaseOutOfRange, IncompatibleGroups, NotPrimitiveOdd, WrongModulus
+from .characters import Family, companion_mod_b
+from .errors import BaseOutOfRange
 from .spectrum import dual_transforms, magnitudes, spectrum_of
 
 
@@ -68,19 +68,6 @@ def _packet_records(b: int, js: np.ndarray) -> dict[str, np.ndarray]:
     return {"j": js, "P_short": spec.P_short[js], "L1": l1, "delta": delta,
             "ratio": magnitudes(delta) / magnitudes(l1), "phase_cos": np.array(phase_cos),
             "twist_count": np.full(len(js), len(twists))}
-
-
-def packet_delta(chi: Character) -> dict:
-    """Delta(chi) and its comparison against L(1, conj chi), chi odd mod b**2:
-    the record's columns as scalars."""
-    g = chi.group
-    if g.q != g.b**2:
-        raise WrongModulus("packets are defined for characters mod b**2")
-    if not chi.is_odd:
-        raise NotPrimitiveOdd(f"chi_{chi.index} mod {g.q} is even")
-    if g.g != spectrum_of(g.b).group.g:
-        raise IncompatibleGroups(f"packets index characters against the least root mod {g.q}")
-    return {k: v.item() for k, v in _packet_records(g.b, np.array([chi.index])).items()}
 
 
 def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict[str, np.ndarray]:

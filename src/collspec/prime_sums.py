@@ -17,23 +17,18 @@ then gives the cross-moment bound
     |F0(s)| <= (1/phi) * sum |B1| |S_G| |P(s, chi)|,
 
 whose margin is reported for (b, s, N) grids.  p^{-s} is evaluated as
-exp(-s ln p), with ln p taken once per (base, cutoff) for every s and
-both routes, and sums are numpy pairwise sums, not BLAS dots, whose
-threads make the last digits and the run time follow the thread count
-and the load.  P has two routes:
+exp(-s ln p), with ln p taken once per (base, cutoff) for every s, and
+sums are numpy pairwise sums, not BLAS dots, whose threads make the last
+digits and the run time follow the thread count and the load.
 
-- p_trunc sums one character directly over the primes in ascending order,
-  an O(pi(N)) pass per chi.  verify_expansion takes these sums: its
-  residual is a few ulps of |F0|, and any reordering moves it by as much
-  as it is, so the gated check keeps the order it was pinned with.
-- p_all gives every chi at once.  With c[t] the sum of p^{-s} over the
-  primes of dlog class t, P(s, chi_j) = sum_t c[t] e(jt/phi) is one
-  length-phi FFT.  Each c[t] is a pairwise sum over the class's run of the
-  primes, taken in a cached order that groups them by dlog; bincount and
-  add.reduceat would sum sequentially, which raises the rounding by more
-  than an order of magnitude.  cross_moment_bound takes this route.
-
-F0 is always summed directly over the ascending primes.
+P has one route, p_all, which gives every chi at once: with c[t] the sum
+of p^{-s} over the primes of dlog class t, P(s, chi_j) = sum_t c[t]
+e(jt/phi) is one length-phi FFT.  Each c[t] is a pairwise sum over the
+class's run of the primes, taken in a cached order that groups them by
+dlog; bincount and add.reduceat would sum sequentially, which raises the
+rounding by more than an order of magnitude.  verify_expansion and
+cross_moment_bound both take it.  F0 is summed directly over the
+ascending primes.
 """
 
 from __future__ import annotations
@@ -43,10 +38,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import Character, Family, roots_of_unity
+from .characters import Family
 from .collision import CollisionTable
 from .errors import CutoffBelowModulus, ExponentOutOfRange
-from .spectrum import Spectrum, spectrum_of
+from .spectrum import spectrum_of
 from .unit_group import PrimeList, UnitGroup
 
 
@@ -62,10 +57,6 @@ def _primes_in_range(primes: PrimeList, m: int, cutoff: int) -> np.ndarray:
     return arr[lo:hi]
 
 
-def _underflow(s: float, p_min: int) -> ExponentOutOfRange:
-    return ExponentOutOfRange(f"at s = {s}, p^-s underflows to 0 from p = {p_min} on")
-
-
 @lru_cache(maxsize=1)
 def _log_primes(q: int, cutoff: int, primes: PrimeList) -> tuple[np.ndarray, np.ndarray]:
     """The primes of (q, cutoff], ascending, and their ln p, for every s of a run."""
@@ -73,20 +64,6 @@ def _log_primes(q: int, cutoff: int, primes: PrimeList) -> tuple[np.ndarray, np.
     log_p = np.log(p_arr.astype(float))
     log_p.flags.writeable = False
     return p_arr, log_p
-
-
-@lru_cache(maxsize=1)
-def _prime_terms(group: UnitGroup, s: float, cutoff: int,
-                 primes: PrimeList) -> tuple[np.ndarray, np.ndarray]:
-    """p^{-s} and dlog p over q < p <= cutoff, shared by the phi characters of a record."""
-    p_arr, log_p = _log_primes(group.q, cutoff, primes)
-    with np.errstate(over="ignore"):  # -s ln p = -inf gives p^-s = 0, as it should
-        terms = np.exp(-s * log_p), group.dlog[p_arr % group.q]
-    if terms[0][0] == 0.0:  # the largest term: every term, and so every sum, would be 0
-        raise _underflow(s, p_arr[0])
-    for arr in terms:
-        arr.flags.writeable = False
-    return terms
 
 
 @lru_cache(maxsize=1)
@@ -103,15 +80,6 @@ def _class_order(group: UnitGroup, cutoff: int, primes: PrimeList) -> tuple[np.n
     return order, [0, *np.cumsum(counts).tolist()]
 
 
-def p_trunc(chi: Character, s: float, cutoff: int, primes: PrimeList) -> complex:
-    """P(s, chi) = sum over m < p <= cutoff of chi(p) p^{-s}."""
-    group = chi.group
-    weights, dlogs = _prime_terms(group, s, cutoff, primes)
-    # chi(g^t) = e(index * t / phi), tabulated over t = 0..phi-1
-    phases = roots_of_unity(group.phi)[(chi.index * np.arange(group.phi)) % group.phi]
-    return complex((weights * phases.real[dlogs]).sum(), (weights * phases.imag[dlogs]).sum())
-
-
 def p_all(group: UnitGroup, s: float, cutoff: int, primes: PrimeList) -> np.ndarray:
     """P(s, chi_j) for j = 0..phi-1, by dlog class sums and one FFT."""
     p_arr, log_p = _log_primes(group.q, cutoff, primes)
@@ -120,7 +88,7 @@ def p_all(group: UnitGroup, s: float, cutoff: int, primes: PrimeList) -> np.ndar
         weights = -s * log_p[order]
     np.exp(weights, out=weights)
     if not weights.any():  # every sum would be 0
-        raise _underflow(s, p_arr[0])
+        raise ExponentOutOfRange(f"at s = {s}, p^-s underflows to 0 from p = {p_arr[0]} on")
     c = np.array([weights[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
     return np.fft.ifft(c, norm="forward")  # unscaled: sum_t c[t] e(jt/phi)
 
@@ -137,14 +105,16 @@ def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> 
     return float(terms.sum())
 
 
-def _record(spec: Spectrum, s: float, cutoff: int, f_val: float, p_val: list) -> dict:
+def _record(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
     """Keys: b; s; N, the cutoff; F = F0(s), real since S0 is; expansion_residual;
     restriction_residual, the all-chi sum against the primitive-odd-only one;
-    bound_lhs = |F|; bound_rhs; margin = bound_rhs - bound_lhs.  p_val holds
-    P(s, chi_j) for j = 0..phi-1 as Python complex numbers.
+    bound_lhs = |F|; bound_rhs; margin = bound_rhs - bound_lhs.
 
-    Callers take F before P, so that F's temporaries are freed before P's
+    F is taken before P, so that F's temporaries are freed before P's
     per-run caches fill."""
+    spec = spectrum_of(b)
+    f_val = f_trunc(spec.table, s, cutoff, primes)
+    p_val = p_all(spec.group, s, cutoff, primes).tolist()
     # Python scalars summed in order: a numpy sum would reorder the terms.
     s_hat, b1, s_g = spec.s_hat.tolist(), spec.B1.tolist(), spec.S_G.tolist()
     expansion_all = sum((h * p for h, p in zip(s_hat, p_val)), 0j)
@@ -153,28 +123,21 @@ def _record(spec: Spectrum, s: float, cutoff: int, f_val: float, p_val: list) ->
     bound_terms = (abs(b1[j]) * abs(s_g[j]) * abs(p_val[j]) for j in js)
     bound_rhs = math.fsum(bound_terms) / spec.group.phi
     bound_lhs = abs(f_val)
-    return {"b": spec.b, "s": s, "N": cutoff, "F": f_val,
+    return {"b": b, "s": s, "N": cutoff, "F": f_val,
             "expansion_residual": abs(f_val - expansion_prim_odd),
             "restriction_residual": abs(expansion_all - expansion_prim_odd),
             "bound_lhs": bound_lhs, "bound_rhs": bound_rhs, "margin": bound_rhs - bound_lhs}
 
 
 def verify_expansion(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
-    """Check F0 = sum s0_hat * P term by term at the given truncation (keys: _record).
-    P is summed per character (p_trunc), the order this gated residual is pinned with."""
+    """Check F0 = sum s0_hat * P term by term at the given truncation (keys: _record)."""
     if not (math.isfinite(s) and s > 0):
         raise ExponentOutOfRange(f"need a finite s > 0, got {s}")
-    spec = spectrum_of(b)
-    f_val = f_trunc(spec.table, s, cutoff, primes)
-    p_val = [p_trunc(Character(spec.group, j), s, cutoff, primes) for j in range(spec.group.phi)]
-    return _record(spec, s, cutoff, f_val, p_val)
+    return _record(b, s, cutoff, primes)
 
 
 def cross_moment_bound(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
-    """Triangle-inequality bound |F0| <= (1/phi) sum |B1||S_G||P| (keys: _record).
-    P comes from p_all, one transform for every character."""
+    """Triangle-inequality bound |F0| <= (1/phi) sum |B1||S_G||P| (keys: _record)."""
     if not (math.isfinite(s) and s > 0.5):
         raise ExponentOutOfRange(f"need a finite s > 0.5, got {s}")
-    spec = spectrum_of(b)
-    f_val = f_trunc(spec.table, s, cutoff, primes)
-    return _record(spec, s, cutoff, f_val, p_all(spec.group, s, cutoff, primes).tolist())
+    return _record(b, s, cutoff, primes)

@@ -19,14 +19,16 @@ is the diagonal character sum.
 Every character sum here, sum_a f(a) * conj(chi_j(a)) for all j at once,
 is one FFT of f along the discrete-log axis a = g**t (float64, numpy's
 pocketfft), since conj(chi_j)(g**t) = e(-jt/phi): s0_hat, B1, tau, and
-S_G and P_short from their terms' histograms over t.  Only S_G's b - 1
-entries j = 0 mod b are summed term by term, bit for bit diagonal_sum:
-it vanishes there for odd j, and the transform's rounding (8.9e-15 at
-b = 61, against 9.0e-16) would cost that check a decade.  Measured:
-factorization residual 3.1e-16, 5.6e-16, 4.7e-16 and 6.3e-16 at b = 13,
-43, 97 and 199; |s0_hat| on the vanishing families below 2.1e-16; |S_G|
-on imprimitive odd chi up to 2.1e-15 at b = 199; the arrays within
-1.2e-13 of the direct per-character sums at b = 43.
+S_G and P_short from their terms' histograms over t.  S_G's b - 1
+entries j = b*k come from the histogram folded mod b - 1 instead, since
+chi_{b*k}(g**t) = e(kt/(b-1)) depends on t mod b - 1 only.  That fold
+counts the diagonal terms by unit residue mod b, and each one is hit
+once as n + 1 and once as n: it is exactly 0, and so are those entries
+(the vanishing on imprimitive odd chi below, without rounding).
+Measured: factorization residual 3.1e-16, 5.6e-16, 4.7e-16 and 6.3e-16
+at b = 13, 43, 97 and 199; |s0_hat| on the vanishing families below
+2.1e-16; the arrays within 1.2e-13 of the direct per-character sums at
+b = 43.
 
 verify_proof_steps re-derives the factorization for every primitive odd
 chi at once, each ingredient a transform held against its closed form:
@@ -138,14 +140,15 @@ def dual_transforms(group: UnitGroup) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return b1, tau, 1j * np.pi * tau * b1 / group.q
 
 
-def _term_sums(group: UnitGroup, plus: np.ndarray, minus: np.ndarray = ()) -> np.ndarray:
-    """sum_n conj(chi_j)(n) over the terms n in plus less those in minus, for every
-    j: one FFT, in place, of the signed histogram of their dlogs (non-units drop out)."""
+def _term_histogram(group: UnitGroup, plus: np.ndarray, minus: np.ndarray = ()) -> np.ndarray:
+    """The signed histogram over t of the dlogs of the terms n in plus less those
+    in minus (non-units drop out), whose FFT is sum_n conj(chi_j)(n) for every j.
+    Complex, so that the FFT can run in place; its entries are small integers."""
     h = np.zeros(group.phi, dtype=complex)
     for terms, sign in ((plus, 1), (minus, -1)):
         t = group.dlog[np.asarray(terms, dtype=np.int64) % group.q]
         np.add.at(h, t[t >= 0], sign)
-    return np.fft.fft(h, out=h)
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,18 +195,14 @@ def spectrum_of(b: int) -> Spectrum:
     phi, j = group.phi, np.arange(group.phi)
     # S_G and P_short first: after dual_transforms they would raise the peak.
     members = np.array(diagonal_set(b).members)
-    s_g = _term_sums(group, members + 1, members)
-    p_short = _term_sums(group, np.arange(1, b))
+    h = _term_histogram(group, members + 1, members)
+    fold = h.real.reshape(b, b - 1).sum(axis=0)  # by t mod b - 1: exact integer sums
+    s_g = np.fft.fft(h, out=h)
+    s_g[::b] = np.fft.fft(fold)  # the entries j = b*k (see the docstring)
+    h = _term_histogram(group, np.arange(1, b))
+    p_short = np.fft.fft(h, out=h)
     b1, tau, l1 = dual_transforms(group)
     s_hat = np.fft.fft(_by_dlog(group, table.S0_num / b)) / phi
-    # S_G at j = 0 mod b term by term, as diagonal_sum sums it (see the docstring).
-    roots, jb = roots_of_unity(phi), j[::b]
-
-    def conj_chi(n: int) -> np.ndarray:  # conj(chi_j)(n) on those entries
-        t = group.dlog[n % group.q]
-        return roots[-jb * t % phi] if t >= 0 else np.zeros(b - 1, dtype=complex)
-
-    s_g[::b] = sum((conj_chi(n + 1) - conj_chi(n) for n in members.tolist()), 0j)
     arrays = dict(s_hat=s_hat, B1=b1, S_G=s_g, P_short=p_short, tau=tau, L1=l1,
                   odd=j % 2 == 1, primitive=j % b != 0)
     for arr in arrays.values():

@@ -105,12 +105,18 @@ def _group_with_root(q: int, b: int, phi: int, g: int) -> UnitGroup:
     return UnitGroup(q=q, b=b, phi=phi, g=g, units=units, dlog=dlog)
 
 
-def build_unit_group(b: int, level: Level = Level.MOD_B_SQUARED) -> UnitGroup:
-    """Build the unit group mod b or mod b**2 with the least primitive root."""
+def check_base(b: int) -> None:
+    """Refuse b unless it is an odd prime up to MAX_BASE.  The bound is tested
+    first: trial division of a huge b would take sqrt(b) steps."""
+    if isinstance(b, int) and b > MAX_BASE:
+        raise BaseOutOfRange(f"base {b} exceeds the supported bound {MAX_BASE}")
     if not isinstance(b, int) or isinstance(b, bool) or not is_odd_prime(b):
         raise NotOddPrime(f"base must be an odd prime, got {b!r}")
-    if b > MAX_BASE:
-        raise BaseOutOfRange(f"base {b} exceeds the supported bound {MAX_BASE}")
+
+
+def build_unit_group(b: int, level: Level = Level.MOD_B_SQUARED) -> UnitGroup:
+    """Build the unit group mod b or mod b**2 with the least primitive root."""
+    check_base(b)
     if level is Level.MOD_B:
         q, phi = b, b - 1
     else:

@@ -60,6 +60,7 @@ def test_non_prime_base_is_usage_error(capsys):
         ("verify", "decompose", "--base", "5", "--out", "no-such-dir/x.json"),
         ("verify", "decompose", "--base", "5", "--out", "."),  # a directory
         ("expansion", "--base", "5", "--cutoff", "1"),  # below the sieve's least limit
+        ("verify", "decompose", "--base", "2305843009213693951"),  # 2**61 - 1: see below
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):
@@ -69,6 +70,15 @@ def test_bad_input_is_usage_error(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_huge_prime_base_is_refused_before_primality():
+    # trial division of 2**61 - 1 would run for hours; the bound comes first
+    proc = subprocess.run([sys.executable, "-m", "collspec", "verify", "decompose",
+                           "--base", "2305843009213693951"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: BaseOutOfRange")
 
 
 def test_unwritable_out_dir_is_usage_error(capsys, monkeypatch, tmp_path):
@@ -280,19 +290,21 @@ def test_broken_l_value_fails_classnumber(capsys, monkeypatch):
 
 
 def test_broken_diagonal_set_fails_decompose(capsys, monkeypatch):
-    def moved(b):  # the member 1*(b+1) moved by 1: S_G no longer matches s_hat
+    def moved(b):  # the member 1*(b+1) moved by 1
         members = list(collision.diagonal_set(b).members)
         members[1] += 1
         return collision.DiagonalSet(b=b, members=tuple(members))
 
     monkeypatch.setattr(spectrum, "diagonal_set", moved)
-    spectrum.spectrum_of.cache_clear()
-    try:
-        code, out, _ = run_main(capsys, "verify", "decompose", "--base", "13", "--format", "pretty")
-    finally:
+    # S_G no longer matches s_hat, and its fold mod b - 1 is no longer 0
+    for what, failing in (("decompose", "decompose[b=13]"), ("vanishing", "vanishing-S-G[b=13]")):
         spectrum.spectrum_of.cache_clear()
-    assert code == 1
-    assert "[FAIL] decompose" in out
+        try:
+            code, out, _ = run_main(capsys, "verify", what, "--base", "13", "--format", "pretty")
+        finally:
+            spectrum.spectrum_of.cache_clear()
+        assert code == 1
+        assert f"[FAIL] {failing}" in out
 
 
 def test_sweep_grid(capsys):

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collspec.characters import Character, Family, enumerate_family
-from collspec.errors import NotPrimitiveOdd
+from collspec.characters import Character, Family
 from collspec.lvalues import l_value_series
 from collspec.packet import (
     PROBE_FLOOR,
     TABLE1_FAMILY,
     TABLE1_TARGETS,
-    packet_delta,
     packet_records,
     packet_stats,
     probes,
@@ -44,12 +42,6 @@ def test_record_counts(b, count):
         # the per-cell arithmetic, bit for bit
         assert r["ratio"] == abs(r["delta"]) / abs(r["L1"])
         assert r["phase_cos"] == math.cos(cmath.phase(r["delta"]) - cmath.phase(r["L1"]))
-
-
-def test_rejects_non_primitive_odd():
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
-    with pytest.raises(NotPrimitiveOdd):
-        packet_delta(Character(g, 2))
 
 
 def test_delta_conjugate_antisymmetry():
@@ -114,13 +106,10 @@ def test_probe_defining_relation():
     # probe * P = L1 + Delta; no conjugate symmetry is asserted because
     # Delta is conjugate-antisymmetric, not equivariant (see the
     # antisymmetry test above), so (L1 + Delta) does not conjugate cleanly
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
     recs = packet_records(5)
     probe = probes(recs)
     assert not probe.mask.any()
-    for row, chi in enumerate(enumerate_family(g, Family.PRIMITIVE_ODD)):
-        r = packet_delta(chi)
-        assert r == {k: v[row].item() for k, v in recs.items()}
+    for row, r in enumerate(rows(recs)):
         assert probe[row] * r["P_short"] == pytest.approx(r["L1"] + r["delta"], abs=1e-12)
 
 

@@ -4,17 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from collspec.characters import Character
+from collspec.characters import Character, roots_of_unity
 from collspec.collision import collision_invariant
 from collspec.errors import CutoffBelowModulus, ExponentOutOfRange
 from collspec.prime_sums import (
     _class_order,
     _log_primes,
-    _prime_terms,
     cross_moment_bound,
     f_trunc,
     p_all,
-    p_trunc,
     verify_expansion,
 )
 from collspec.spectrum import spectrum_of
@@ -26,14 +24,26 @@ def primes_between(m, n):
             if p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))]
 
 
+def p_trunc(chi, s, cutoff, primes):
+    """P(s, chi) = sum over m < p <= cutoff of chi(p) p^{-s}: one character summed
+    directly over the ascending primes, the oracle p_all is held to."""
+    group = chi.group
+    p_arr = primes.primes[(primes.primes > group.q) & (primes.primes <= cutoff)]
+    weights, dlogs = np.exp(-s * np.log(p_arr.astype(float))), group.dlog[p_arr % group.q]
+    # chi(g^t) = e(index * t / phi), tabulated over t = 0..phi-1
+    phases = roots_of_unity(group.phi)[(chi.index * np.arange(group.phi)) % group.phi]
+    return complex((weights * phases.real[dlogs]).sum(), (weights * phases.imag[dlogs]).sum())
+
+
 def test_principal_sum_exact_oracle():
     # s = 2 keeps everything rational: sum of 1/p^2 over 9 < p <= 100
+    # for the oracle and for the principal entry of the transform route
     g = build_unit_group(3, Level.MOD_B_SQUARED)
-    chi0 = Character(g, 0)
-    val = p_trunc(chi0, 2.0, 100, sieve_primes(100))
+    primes = sieve_primes(100)
     expected = sum(Fraction(1, p * p) for p in primes_between(9, 100))
-    assert val.real == pytest.approx(float(expected), rel=1e-14)
-    assert val.imag == 0.0
+    for val in (p_trunc(Character(g, 0), 2.0, 100, primes), p_all(g, 2.0, 100, primes)[0]):
+        assert val.real == pytest.approx(float(expected), rel=1e-14)
+        assert val.imag == 0.0
 
 
 def test_f_trunc_two_line_oracle():
@@ -107,14 +117,14 @@ def test_cross_moment_builds_the_spectrum_once():
     assert spectrum_of.cache_info().misses == 1
 
 
-def test_record_computes_prime_terms_once_per_s():
-    # the phi = 42 characters of one record share the weights and dlogs
-    _prime_terms.cache_clear()
+def test_expansion_orders_primes_once_per_base_and_cutoff():
+    # the two s of one base share the dlog-grouped prime list
+    _class_order.cache_clear()
     primes = sieve_primes(5000)
     for s in (0.8, 1.2):
         verify_expansion(7, s, 5000, primes)
-    info = _prime_terms.cache_info()
-    assert (info.misses, info.hits) == (2, 2 * 41)
+    info = _class_order.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("cutoff", [2000, 10 ** 5])

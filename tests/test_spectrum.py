@@ -336,19 +336,21 @@ def test_spectrum_arrays_match_direct_sums(b):
         assert abs(spec.L1[j] - l1) < 1e-12
         assert abs(spec.S_G[j] - diagonal_sum(chi)) < 1e-12
         assert abs(spec.P_short[j] - short_partial_sum(chi)) < 1e-12
-        if j % b == 0:  # summed term by term, in the direct order
-            assert spec.S_G[j] == diagonal_sum(chi)
+        if j % b == 0:  # from the exact fold of the histogram mod b - 1
+            assert spec.S_G[j] == 0
+            assert abs(diagonal_sum(chi)) < 1e-14
         assert spec.odd[j] == chi.is_odd
         assert spec.primitive[j] == chi.is_primitive()
 
 
 @pytest.mark.parametrize("b", [31, 59, 61])
 def test_imprimitive_diagonal_sums_are_the_direct_sums(b):
-    # The vanishing S_G of spectrum-scan's bases: a transform would put rounding
-    # of 8.9e-15 there at b = 61, against 9.0e-16 summed term by term.
+    # The vanishing S_G of spectrum-scan's bases: the fold of the histogram mod
+    # b - 1 is exactly 0, where a length-phi transform would round to 8.9e-15 at b = 61.
     spec = spectrum_of(b)
+    assert not spec.S_G[::b].any()
     for j in range(0, spec.group.phi, b):
-        assert spec.S_G[j] == diagonal_sum(Character(spec.group, j))
+        assert abs(diagonal_sum(Character(spec.group, j))) < 1e-14
 
 
 @pytest.mark.parametrize("b", SMALL_BASES)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collspec.errors import LimitTooLarge, NotOddPrime
+from collspec.errors import BaseOutOfRange, LimitTooLarge, NotOddPrime
 from collspec.unit_group import (
     Level,
     _group_with_root,
@@ -55,6 +55,13 @@ def test_group_mod_b():
 def test_rejects_non_odd_prime(bad):
     with pytest.raises(NotOddPrime):
         build_unit_group(bad, Level.MOD_B_SQUARED)
+
+
+@pytest.mark.parametrize("big", [3593, 2**61 - 1, 2**62])  # primes, then an even number
+def test_rejects_base_above_bound_before_primality(big):
+    # trial division of 2**61 - 1 would run for hours
+    with pytest.raises(BaseOutOfRange):
+        build_unit_group(big, Level.MOD_B)
 
 
 @pytest.mark.parametrize("b", SMALL_PRIMES)
