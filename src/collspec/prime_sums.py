@@ -107,8 +107,13 @@ def f_trunc(table: CollisionTable, s: float, cutoff: int, primes: PrimeList) -> 
 
 def _record(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
     """Keys: b; s; N, the cutoff; F = F0(s), real since S0 is; expansion_residual;
-    restriction_residual, the all-chi sum against the primitive-odd-only one;
-    bound_lhs = |F|; bound_rhs; margin = bound_rhs - bound_lhs.
+    restriction_residual, |sum of s0_hat * P over the even and imprimitive odd
+    chi|, the terms the restriction drops; bound_lhs = |F|; bound_rhs;
+    margin = bound_rhs - bound_lhs.
+
+    The dropped terms are summed on their own, not as the all-chi sum minus
+    the primitive-odd one: that difference is the rounding of a sum of F's
+    size, 0 or 2**-59 by chance at b = 7, and hides terms below its ulp.
 
     F is taken before P, so that F's temporaries are freed before P's
     per-run caches fill."""
@@ -117,15 +122,17 @@ def _record(b: int, s: float, cutoff: int, primes: PrimeList) -> dict:
     p_val = p_all(spec.group, s, cutoff, primes).tolist()
     # Python scalars summed in order: a numpy sum would reorder the terms.
     s_hat, b1, s_g = spec.s_hat.tolist(), spec.B1.tolist(), spec.S_G.tolist()
-    expansion_all = sum((h * p for h, p in zip(s_hat, p_val)), 0j)
+    terms = [h * p for h, p in zip(s_hat, p_val)]
     js = spec.indices(Family.PRIMITIVE_ODD).tolist()
-    expansion_prim_odd = sum((s_hat[j] * p_val[j] for j in js), 0j)
+    expansion = sum((terms[j] for j in js), 0j)
+    prim_odd = set(js)
+    dropped = sum((t for j, t in enumerate(terms) if j not in prim_odd), 0j)
     bound_terms = (abs(b1[j]) * abs(s_g[j]) * abs(p_val[j]) for j in js)
     bound_rhs = math.fsum(bound_terms) / spec.group.phi
     bound_lhs = abs(f_val)
     return {"b": b, "s": s, "N": cutoff, "F": f_val,
-            "expansion_residual": abs(f_val - expansion_prim_odd),
-            "restriction_residual": abs(expansion_all - expansion_prim_odd),
+            "expansion_residual": abs(f_val - expansion),
+            "restriction_residual": abs(dropped),
             "bound_lhs": bound_lhs, "bound_rhs": bound_rhs, "margin": bound_rhs - bound_lhs}
 
 

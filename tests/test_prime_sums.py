@@ -83,6 +83,20 @@ def test_expansion_identity_b5():
     assert rec["restriction_residual"] < 1e-11
 
 
+def test_restriction_residual_is_the_dropped_terms():
+    # At b = 7 the imprimitive s_hat entries are FFT rounding of ~1e-16: their
+    # terms lie below the ulp of F and must still show.
+    b, s, cutoff = 7, 1.2, 10 ** 5
+    primes = sieve_primes(cutoff)
+    spec = spectrum_of(b)
+    p = p_all(spec.group, s, cutoff, primes)
+    dropped = ~(spec.odd & spec.primitive)
+    want = abs(sum((complex(spec.s_hat[j] * p[j]) for j in np.flatnonzero(dropped)), 0j))
+    rec = verify_expansion(b, s, cutoff, primes)
+    assert rec["restriction_residual"] == want
+    assert 0 < want < math.ulp(rec["F"])
+
+
 def test_no_primes_below_cutoff_is_refused():
     # m = 9 < cutoff = 10 but no primes in (9, 10]: every sum would be vacuously 0
     with pytest.raises(CutoffBelowModulus):
