@@ -35,8 +35,9 @@ def main(argv=None):
               f"1/sqrt(b) = {1 / math.sqrt(b):.4f}, 1 = 1.0000)")
         mags = []
         records = packet_records(b)
-        for j, probe in zip(records["j"].tolist(), probes(records).tolist()):
-            if probe is None:  # masked: |P| at or below the floor
+        values, defined = probes(records)
+        for j, probe, ok in zip(records["j"].tolist(), values.tolist(), defined.tolist()):
+            if not ok:  # |P| at or below the floor
                 print(f"  j={j:>3}:  P below floor, probe UNDEFINED")
                 continue
             mags.append(abs(probe))

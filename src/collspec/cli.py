@@ -44,9 +44,8 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import partial
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -61,8 +60,7 @@ DEFAULT_CUTOFF = 1_000_000
 CLASSNUMBER_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     bases: tuple[int, ...]
     tolerance: float = 1e-10
@@ -72,23 +70,31 @@ class RunConfig:
     fmt: str | None = None  # None: pretty on a tty, JSON otherwise
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Sparse(NamedTuple):
+    """A column with absent cells: its values, and where a cell is present."""
+    values: np.ndarray
+    present: np.ndarray  # bool, a cell per row
+
+
+def _values(column: np.ndarray | Sparse) -> np.ndarray:
+    return column.values if isinstance(column, Sparse) else column
+
+
+class Verdict(NamedTuple):
     check_name: str
     passed: bool
     worst_residual: float
     tolerance: float
-    # Column table: name -> array, a cell per row; masked cells are absent
-    # and a dotted name a.b is key b of the nested JSON object a.
-    details: dict[str, np.ndarray] = field(default_factory=dict)
+    # Column table: name -> array or Sparse, a cell per row; a dotted name
+    # a.b is key b of the nested JSON object a.
+    details: dict[str, np.ndarray | Sparse]
 
     @property
     def rows(self) -> int:
-        return len(next(iter(self.details.values()), ()))
+        return len(_values(next(iter(self.details.values()), ())))
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     config: RunConfig
     verdicts: list[Verdict]
 
@@ -120,8 +126,8 @@ def _check_decompose(b: int, cfg: RunConfig) -> list[Verdict]:
         "parity": np.where(odd, "odd", "even"), "primitive": primitive, "s_hat": spec.s_hat,
         "B1": spec.B1, "S_G": spec.S_G, "P_short": spec.P_short,
         "residuals.decomposition": residual,
-        "residuals.s_hat_vanishing": np.ma.masked_array(magnitudes(spec.s_hat), odd & primitive),
-        "residuals.S_G_vanishing": np.ma.masked_array(magnitudes(spec.S_G), ~odd | primitive),
+        "residuals.s_hat_vanishing": Sparse(magnitudes(spec.s_hat), ~(odd & primitive)),
+        "residuals.S_G_vanishing": Sparse(magnitudes(spec.S_G), odd & ~primitive),
     }
     return [_verdict(f"decompose[b={b}]", residual[odd & primitive], cfg.tolerance, details)]
 
@@ -139,7 +145,7 @@ def _check_vanishing(b: int, cfg: RunConfig) -> list[Verdict]:
     s_hat_abs, s_g_abs = magnitudes(spec.s_hat[js]), magnitudes(spec.S_G[js])
     details = {
         "b": np.full(len(js), b), "j": js, "family": np.where(odd, "imprimitive-odd", "even"),
-        "s_hat_abs": s_hat_abs, "S_G_abs": np.ma.masked_array(s_g_abs, ~odd),
+        "s_hat_abs": s_hat_abs, "S_G_abs": Sparse(s_g_abs, odd),
     }
     return [
         _verdict(f"vanishing-s-hat[b={b}]", s_hat_abs, cfg.tolerance / 10, details),
@@ -187,7 +193,7 @@ def _check_table1(b: int, cfg: RunConfig) -> list[Verdict]:
 def _check_packet(b: int, cfg: RunConfig) -> list[Verdict]:
     records = packet.packet_records(b)
     n = len(records["j"])
-    details = {"b": np.full(n, b), **records, "probe": packet.probes(records)}
+    details = {"b": np.full(n, b), **records, "probe": Sparse(*packet.probes(records))}
     broken = n != (b - 1) ** 2 // 2 or (records["twist_count"] != (b - 3) // 2).any()
     return [_verdict(f"packet[b={b}]", [float(broken)], cfg.tolerance, details)]
 
@@ -253,8 +259,7 @@ def _check_dump_collision(b: int, cfg: RunConfig) -> list[Verdict]:
 # ====== the command table ======
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     help: str
     check: Callable  # (b, cfg) -> verdicts of base b; (cfg) -> all verdicts if whole_run
     whole_run: bool = False
@@ -318,11 +323,17 @@ def _text(v, json_: bool) -> str:
     return fmt_float(v) if isinstance(v, float) else str(v)
 
 
-def _flat(details: dict) -> list[tuple[str, np.ndarray]]:
-    """The columns outside JSON: a complex one becomes <name>_re, <name>_im."""
-    return [kv for name, values in details.items() for kv in (
-        [(f"{name}_re", np.real(values)), (f"{name}_im", np.imag(values))]
-        if np.iscomplexobj(values) else [(name, values)])]
+def _flat(details: dict) -> list[tuple[str, np.ndarray | Sparse]]:
+    """The columns outside JSON: a complex one becomes <name>_re, <name>_im,
+    each absent where the complex cell is."""
+    flat = []
+    for name, column in details.items():
+        values, present = column if isinstance(column, Sparse) else (column, None)
+        complex_ = np.iscomplexobj(values)
+        parts = [("_re", values.real), ("_im", values.imag)] if complex_ else [("", values)]
+        flat += [(name + suffix, part if present is None else Sparse(part, present))
+                 for suffix, part in parts]
+    return flat
 
 
 def _escape(text: str) -> str:
@@ -346,23 +357,24 @@ def _cell(data: np.ndarray, json_: bool, quote: Callable[[str], str]) -> tuple[s
     return "{}", [np.array([quote(_text(v, json_)) for v in distinct.tolist()], dtype=object)[inverse]]
 
 
-def _render(columns: list[np.ndarray], template: Callable[[list], str], json_: bool = False,
-            quote: Callable[[str], str] = str) -> Iterator[np.ndarray]:
+def _render(columns: list[np.ndarray | Sparse], template: Callable[[list], str],
+            json_: bool = False, quote: Callable[[str], str] = str) -> Iterator[np.ndarray]:
     """The rows of a column table as text, a block at a time.  Rows with one
     pattern of present cells (one 1-D unique over the packed presence bits)
     share one format template, template(fields of the cells, None if absent)."""
-    for start in range(0, len(columns[0]) if columns else 0, BLOCK_ROWS):
-        part = [c[start:start + BLOCK_ROWS] for c in columns]
-        cells = [_cell(np.ma.getdata(c), json_, quote) for c in part]
-        present = [~np.ma.getmaskarray(c) for c in part]
+    total = len(_values(columns[0])) if columns else 0
+    for start in range(0, total, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        cells = [_cell(_values(c)[block], json_, quote) for c in columns]
+        present = [c.present[block] if isinstance(c, Sparse) else None for c in columns]
         groups = [slice(None)]
-        if varying := [p for p in present if p.any() and not p.all()]:
+        if varying := [p for p in present if p is not None and p.any() and not p.all()]:
             packed = np.packbits(np.stack(varying, axis=1), axis=1)
             _, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
             groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-        lines = np.empty(len(part[0]), dtype=object)
+        lines = np.empty(min(BLOCK_ROWS, total - start), dtype=object)
         for rows in groups:
-            flags = [p[rows][0] for p in present]
+            flags = [p is None or p[rows][0] for p in present]
             fmt = template([field if f else None for (field, _), f in zip(cells, flags)]).format
             args = [a[rows].tolist() for (_, arrays), f in zip(cells, flags) if f for a in arrays]
             lines[rows] = list(map(fmt, *args)) if args else [fmt()] * len(lines[rows])
@@ -413,8 +425,8 @@ def render_json(report: Report, out: TextIO) -> None:
 def _csv_header(report: Report) -> list[str]:
     """The union of the tables' columns that hold a cell; check first when
     there are several verdicts."""
-    keys = [key for v in report.verdicts for key, values in _flat(v.details)
-            if not np.ma.getmaskarray(values).all()]
+    keys = [key for v in report.verdicts for key, column in _flat(v.details)
+            if (column.present.any() if isinstance(column, Sparse) else len(column))]
     return list(dict.fromkeys(["check", *keys] if len(report.verdicts) > 1 and keys else keys))
 
 
@@ -431,7 +443,8 @@ def render_csv(report: Report, out: TextIO) -> None:
     for v in report.verdicts:
         table = dict(_flat(v.details))
         table.setdefault("check", np.broadcast_to(np.array(v.check_name), v.rows))
-        cells = [table[key] if key in table else np.ma.masked_all(v.rows) for key in columns]
+        absent = Sparse(np.zeros(v.rows), np.zeros(v.rows, dtype=bool))
+        cells = [table.get(key, absent) for key in columns]
         out.writelines("".join(lines) for lines in _render(
             cells, lambda fields: ",".join(f or empty for f in fields) + "\n", quote=quote))
 
@@ -448,10 +461,8 @@ def render_pretty(report: Report, out: TextIO) -> None:
     for v in report.verdicts:
         n = v.rows
         flag = "PASS" if v.passed else "FAIL"
-        lines.append(
-            f"[{flag}] {v.check_name}  worst={v.worst_residual:.3e}"
-            f"  tol={v.tolerance:.1e}  rows={n}"
-        )
+        lines.append(f"[{flag}] {v.check_name}  worst={v.worst_residual:.3e}"
+                     f"  tol={v.tolerance:.1e}  rows={n}")
         if 0 < n <= PRETTY_ROW_LIMIT:
             keys, cells = zip(*_flat(v.details))
             lines += next(_render(list(cells), lambda fields: "    " + ", ".join(
@@ -488,9 +499,7 @@ def run(cfg: RunConfig) -> int:
 
     path = cfg.out
     if path is None and os.environ.get(OUT_DIR_ENV):
-        path = os.path.join(
-            os.environ[OUT_DIR_ENV], f"{cfg.command}.{_EXTENSIONS[fmt]}"
-        )
+        path = os.path.join(os.environ[OUT_DIR_ENV], f"{cfg.command}.{_EXTENSIONS[fmt]}")
     if path is None:
         _RENDERERS[fmt](report, sys.stdout)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
@@ -557,6 +566,8 @@ def _config_from_args(args: argparse.Namespace,
         bases = command.bases
     if not bases:
         parser.error(f"{name} needs --base or --bases")
+    if len(set(bases)) != len(bases):
+        parser.error(f"--bases repeats a base: {args.bases}")
     for b in bases:
         check_base(b)
     if command.single_base and len(bases) != 1:
@@ -577,15 +588,8 @@ def _config_from_args(args: argparse.Namespace,
         except ValueError:
             parser.error(f"cannot parse --s {s_raw!r}")
 
-    return RunConfig(
-        command=name,
-        bases=bases,
-        tolerance=args.tol,
-        cutoff=cutoff,
-        s_values=s_values,
-        out=args.out,
-        fmt=args.format,
-    )
+    return RunConfig(command=name, bases=bases, tolerance=args.tol, cutoff=cutoff,
+                     s_values=s_values, out=args.out, fmt=args.format)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -130,16 +130,15 @@ TABLE1_TOLERANCE = 0.05
 PROBE_FLOOR = 1e-12
 
 
-def probes(records: dict[str, np.ndarray]) -> np.ma.MaskedArray:
-    """(L(1, conj chi) + Delta(chi)) / P(chi) per record, masked where
-    |P| <= PROBE_FLOOR.
+def probes(records: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(probe, defined) per record: probe = (L(1, conj chi) + Delta(chi)) / P(chi),
+    defined where |P| > PROBE_FLOOR (probe is 0 elsewhere).
 
     The factor is measured, never assumed: downstream nothing depends
     on its value, so the probe is reporting-only.
     """
-    undefined = magnitudes(records["P_short"]) <= PROBE_FLOOR
+    defined = ~(magnitudes(records["P_short"]) <= PROBE_FLOOR)  # a NaN P gives a NaN probe
     # Python's complex division per cell: numpy's rounds differently.
     cells = zip(records["L1"].tolist(), records["delta"].tolist(),
-                records["P_short"].tolist(), undefined.tolist())
-    return np.ma.masked_array([0j if off else (l1 + d) / p for l1, d, p, off in cells],
-                              undefined)
+                records["P_short"].tolist(), defined.tolist())
+    return np.array([(l1 + d) / p if ok else 0j for l1, d, p, ok in cells], dtype=complex), defined

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -276,9 +275,10 @@ def verify_proof_steps(b: int) -> dict[str, np.ndarray]:
 # ====== moment identity ======
 
 
-def centered_square_sum(table: CollisionTable) -> Fraction:
-    """sum_a S0(a)^2 as an exact rational; Python ints, since int64 would overflow."""
-    return Fraction(sum(x * x for x in table.S0_num.tolist()), table.b**2)
+def centered_square_sum(table: CollisionTable) -> int:
+    """sum_a S0(a)^2 exactly, as its numerator over the denominator b^2: sum_a S0_num(a)^2
+    in Python ints (int64 would overflow).  Divide by b**2: int / int rounds correctly."""
+    return sum(x * x for x in table.S0_num.tolist())
 
 
 def verify_moment(b: int) -> dict:
@@ -291,7 +291,7 @@ def verify_moment(b: int) -> dict:
     """
     spec = spectrum_of(b)
     phi = spec.group.phi
-    square_sum = float(centered_square_sum(spec.table))
+    square_sum = centered_square_sum(spec.table) / b**2
 
     parseval_lhs = math.fsum(abs(z) ** 2 for z in spec.s_hat.tolist())
     parseval_rhs = square_sum / phi
@@ -338,5 +338,5 @@ def verify_fourth_moment() -> dict:
     spec = spectrum_of(5)
     l1 = spec.L1[spec.indices(Family.PRIMITIVE_ODD)].tolist()
     lhs = math.fsum(abs(l_val) ** 4 for l_val in l1)
-    rhs = 4 * math.pi**4 / 625 * float(centered_square_sum(spec.table))
+    rhs = 4 * math.pi**4 / 625 * (centered_square_sum(spec.table) / 25)
     return {"b": 5, "lhs": lhs, "rhs": rhs, "rel_err": abs(lhs - rhs) / rhs}

@@ -132,6 +132,15 @@ def test_unknown_bases_string(capsys):
     assert exc.value.code == 2
 
 
+def test_repeated_base_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "decompose", "--bases", "5,7,5"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == ["collspec: error: --bases repeats a base: 5,7,5"]
+
+
 def test_failing_check_exits_1(capsys):
     # `table1` aggregates the primitive odd family, whose b=5 row misses
     # the table (which is over all odd chi) by 0.06
@@ -360,6 +369,73 @@ def test_entry_point_pins_blas_threads(given, pinned):
     if threads is None:
         pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
     assert threads == min(int(pinned), nproc)  # OpenBLAS caps its pool at the cores
+
+
+# A child started as the console script starts it: import the entry point
+# and call its main.  It reports the exit code, and which of the modules
+# the command path must not load did load, on its last stderr line.
+ENTRY_CHILD = """
+import json, sys
+from collspec.__main__ import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help and usage errors
+    code = exc.code
+sys.stdout.flush()
+print(json.dumps([code, [m for m in ("numpy.ma", "fractions") if m in sys.modules]]),
+      file=sys.stderr)
+"""
+
+
+def run_entry(*argv):
+    proc = subprocess.run([sys.executable, "-c", ENTRY_CHILD, *argv], capture_output=True,
+                          timeout=60)
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return code, loaded, proc.stdout
+
+
+@pytest.mark.parametrize("argv", [("packet", "--base", "5"), ("verify", "decompose", "--base", "5"),
+                                  ("dump-collision", "--base", "5"), ("--help",)], ids=" ".join)
+def test_command_path_skips_numpy_ma_and_fractions(argv):
+    code, loaded, _ = run_entry(*argv)
+    assert code == 0
+    assert loaded == []
+
+
+EXIT_CASES = [
+    (("verify", "decompose", "--base", "5"), 0),
+    (("table1", "--bases", "5"), 1),
+    (("verify", "decompose", "--base", "4"), 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", EXIT_CASES, ids=[" ".join(a) for a, _ in EXIT_CASES])
+def test_entry_point_reports_as_cli_main(capsys, argv, code):
+    got, out, _ = run_main(capsys, *argv)
+    assert got == code
+    entry_code, _, entry_out = run_entry(*argv)
+    assert (entry_code, entry_out) == (code, out.encode("utf-8"))
+
+
+# The child sets the collector as a host program might, imports the entry
+# point and then every library module, and prints the collector's state.
+GC_CHILD = """
+import gc, importlib, json, pkgutil, sys
+gc.enable() if sys.argv[1] == "on" else gc.disable()
+import collspec.__main__
+import collspec
+for module in pkgutil.iter_modules(collspec.__path__):
+    importlib.import_module(f"collspec.{module.name}")
+print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+@pytest.mark.parametrize("state", ["on", "off"])
+def test_importing_leaves_the_collector_alone(state):
+    proc = subprocess.run([sys.executable, "-c", GC_CHILD, state], capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == [state == "on", 0]
+
 
 # Reports pinned byte for byte in tests/golden/, in each format, with the
 # exit code.  Rewrite the files with `PYTHONPATH=src python tests/test_cli.py`.

@@ -97,9 +97,9 @@ def test_stats_permutation_invariant(perm):
 def test_probe_guard():
     records = {"L1": np.array([1 + 0j, 1 + 0j]), "delta": np.array([0j, 1j]),
                "P_short": np.array([PROBE_FLOOR / 2, 2 + 0j])}
-    probe = probes(records)
-    assert probe.mask.tolist() == [True, False]
-    assert probe[1] == (1 + 1j) / 2
+    probe, defined = probes(records)
+    assert defined.tolist() == [False, True]
+    assert probe.tolist() == [0j, (1 + 1j) / 2]
 
 
 def test_probe_defining_relation():
@@ -107,8 +107,8 @@ def test_probe_defining_relation():
     # Delta is conjugate-antisymmetric, not equivariant (see the
     # antisymmetry test above), so (L1 + Delta) does not conjugate cleanly
     recs = packet_records(5)
-    probe = probes(recs)
-    assert not probe.mask.any()
+    probe, defined = probes(recs)
+    assert defined.all()
     for row, r in enumerate(rows(recs)):
         assert probe[row] * r["P_short"] == pytest.approx(r["L1"] + r["delta"], abs=1e-12)
 

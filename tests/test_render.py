@@ -3,7 +3,10 @@
 The oracle formats every cell on its own, nests each row's JSON object
 cell by cell and writes CSV rows through csv.writer; the renderers
 build one format template per pattern of present cells.  Both must
-give the same bytes on every report, in json, csv and pretty.
+give the same bytes on every report, in json, csv and pretty.  The
+fixtures mark absent cells with numpy.ma, the oracle's input; the
+renderers get the same tables with each masked column as a Sparse
+(values, present) pair.
 """
 
 import csv
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 from collspec import cli
-from collspec.cli import BLOCK_ROWS, COMMANDS, Report, RunConfig, Verdict
+from collspec.cli import BLOCK_ROWS, COMMANDS, Report, RunConfig, Sparse, Verdict
 
 # ====== oracle: the per-cell route ======
 
@@ -165,18 +168,37 @@ CASES = {
     "one-column-masked": {"s": masked(["a", "b"], [False, True])},
     "bools": {"flag": np.array([True, False, True]), "also": masked([False, True, True],
                                                                    [False, False, True])},
+    # the shape of packet's probe column
+    "partly-absent-complex": {"j": np.arange(4),
+                              "probe": masked([1 - 2j, 0j, complex(-0.0, 3), 0.5j],
+                                              [False, True, False, True])},
     "extreme-ints": {"i": np.array([I64.min, I64.max, 0, -1]),
                      "u": np.array([np.iinfo(np.uint64).max, 0, 1, 2], dtype=np.uint64)},
     "empty": {},
 }
 
 
+def presence_form(rep):
+    """The report as the renderers take it: each masked column a Sparse."""
+    def column(values):
+        if not np.ma.isMaskedArray(values):
+            return values
+        return Sparse(np.ma.getdata(values), ~np.ma.getmaskarray(values))
+    verdicts = [v._replace(details={k: column(c) for k, c in v.details.items()})
+                for v in rep.verdicts]
+    return rep._replace(verdicts=verdicts)
+
+
+def rendered(render, rep):
+    out = io.StringIO()
+    render(presence_form(rep), out)
+    return out.getvalue()
+
+
 def assert_matches_oracle(rep):
     for render, oracle in ((cli.render_json, oracle_json), (cli.render_csv, oracle_csv),
                            (cli.render_pretty, oracle_pretty)):
-        out = io.StringIO()
-        render(rep, out)
-        assert out.getvalue() == oracle(rep), render.__name__
+        assert rendered(render, rep) == oracle(rep), render.__name__
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -205,3 +227,10 @@ def test_many_patterns_across_blocks_match_oracle():
         table[f"g{i % 4}.c{i}"] = masked(values, rng.random(n) < 0.3)
     table["g0.c0"][5] = NAN  # one block takes the non-finite text route
     assert_matches_oracle(report(table))
+
+
+def test_absent_complex_cell_empties_both_csv_halves():
+    rows = list(csv.reader(io.StringIO(rendered(cli.render_csv,
+                                                report(CASES["partly-absent-complex"])))))
+    assert rows == [["j", "probe_re", "probe_im"], ["0", "1", "-2"], ["1", "", ""],
+                    ["2", "-0", "3"], ["3", "", ""]]
