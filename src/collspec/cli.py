@@ -1,31 +1,18 @@
-"""Command-line front end: one command per verified identity.
+"""The back of the command line: one check per verified identity, and the
+renderers of their report.  A check imports the library modules it uses
+when it runs, so a command loads only its own layers.
 
-COMMANDS is the table of commands.  An entry holds a command's help
-text, its --cutoff/--s flags, default bases and exponents, CSV columns,
-single-base rule and check function; the parser and the run
-configuration are built from it.  A check returns the verdicts of one
-base, or of the whole run for the commands that pool their rows
-(classnumber, cross-moment, expansion, sweep), and `run` loops over the
-bases and builds the report.
-
-A verdict gates the worst residual of its rows against a tolerance; a
-NaN residual fails.  Its rows are a column table (name -> numpy array):
-the library's columns, or its dicts of scalars stacked a row per dict.
-All verdicts exist before the first byte is written; the renderers then
-stream BLOCK_ROWS rows at a time, each row through the str.format
-template of its pattern of present cells.  A complex column is [re, im]
-in JSON and <key>_re, <key>_im elsewhere; JSON writes a non-finite
-float as null.  Floats carry 17 significant digits and rows a fixed
-order, so a rerun reproduces the report byte for byte.
-
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
-configuration error (bad base, tolerance, cutoff or exponent, or a
-report that cannot be written).
-
-Output goes to stdout, to --out, or to $COLLSPEC_OUT_DIR/<command>.<ext>
-when that variable is set.  The default format is pretty on a terminal
-and JSON otherwise; a .csv/.json suffix on --out picks the format when
---format is absent.
+A check returns the verdicts of one base, or of the whole run for the
+commands that pool their rows, and `run` loops over the bases and builds
+the report.  A verdict gates the worst residual of its rows against a
+tolerance; a NaN residual fails.  Its rows are a column table (name ->
+numpy array): the library's columns, or its dicts of scalars stacked a
+row per dict.  All verdicts exist before the first byte is written; the
+renderers then stream BLOCK_ROWS rows at a time, each row through the
+str.format template of its pattern of present cells.  A complex column
+is [re, im] in JSON and <key>_re, <key>_im elsewhere; JSON writes a
+non-finite float as null.  Floats carry 17 significant digits and rows a
+fixed order, so a rerun reproduces the report byte for byte.
 
 Tolerances derive from t = --tol (default 1e-10): t/10 for vanishing
 coefficients, t/100 for vanishing diagonal sums, 10*t for the relative
@@ -36,12 +23,10 @@ the reduced-forms count.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import math
-import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
@@ -49,25 +34,11 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from . import collision, lvalues, packet, prime_sums, spectrum
-from .characters import Character, Family
-from .errors import VerificationError
-from .spectrum import magnitudes
-from .unit_group import Level, build_unit_group, check_base, is_odd_prime, sieve_primes
+from . import front
+from .front import COMMANDS, RunConfig
 
-OUT_DIR_ENV = "COLLSPEC_OUT_DIR"
 DEFAULT_CUTOFF = 1_000_000
 CLASSNUMBER_TOLERANCE = 1e-6
-
-
-class RunConfig(NamedTuple):
-    command: str
-    bases: tuple[int, ...]
-    tolerance: float = 1e-10
-    cutoff: int | None = None  # None: command default (prime sums: 10**6)
-    s_values: tuple[float, ...] = (1.2,)
-    out: str | None = None
-    fmt: str | None = None  # None: pretty on a tty, JSON otherwise
 
 
 class Sparse(NamedTuple):
@@ -118,7 +89,8 @@ def _stack(rows: list[dict]) -> dict[str, np.ndarray]:
 
 
 def _check_decompose(b: int, cfg: RunConfig) -> list[Verdict]:
-    spec = spectrum.spectrum_of(b)
+    from .spectrum import magnitudes, spectrum_of
+    spec = spectrum_of(b)
     odd, primitive = spec.odd, spec.primitive
     residual = spec.factorization_residual
     details = {
@@ -133,13 +105,15 @@ def _check_decompose(b: int, cfg: RunConfig) -> list[Verdict]:
 
 
 def _check_steps(b: int, cfg: RunConfig) -> list[Verdict]:
+    from . import spectrum
     columns = spectrum.verify_proof_steps(b)
     residuals = [v for k, v in columns.items() if k not in ("b", "j")]
     return [_verdict(f"steps[b={b}]", residuals, cfg.tolerance, columns)]
 
 
 def _check_vanishing(b: int, cfg: RunConfig) -> list[Verdict]:
-    spec = spectrum.spectrum_of(b)
+    from .spectrum import magnitudes, spectrum_of
+    spec = spectrum_of(b)
     js = np.flatnonzero(~(spec.odd & spec.primitive))
     odd = spec.odd[js]
     s_hat_abs, s_g_abs = magnitudes(spec.s_hat[js]), magnitudes(spec.S_G[js])
@@ -154,17 +128,20 @@ def _check_vanishing(b: int, cfg: RunConfig) -> list[Verdict]:
 
 
 def _check_moment(b: int, cfg: RunConfig) -> list[Verdict]:
+    from . import spectrum
     rep = spectrum.verify_moment(b)
     return [_verdict(f"moment[b={b}]", [rep["rel_err"], rep["parseval_rel_err"]],
                      10 * cfg.tolerance, _stack([rep]))]
 
 
 def _check_encoding(b: int, cfg: RunConfig) -> list[Verdict]:
+    from . import lvalues
     columns = lvalues.verify_encoding(b)
     return [_verdict(f"encoding[b={b}]", columns["residual"], cfg.tolerance, columns)]
 
 
 def _check_base5(b: int, cfg: RunConfig) -> list[Verdict]:
+    from . import spectrum
     details = spectrum.verify_base5_identities(b)
     # Above the verified range the identity's status is open: report, gate nothing.
     if measured := b > spectrum.DOUBLING_VERIFIED_MAX:
@@ -180,6 +157,7 @@ def _check_base5(b: int, cfg: RunConfig) -> list[Verdict]:
 
 
 def _check_table1(b: int, cfg: RunConfig) -> list[Verdict]:
+    from . import packet
     stats = packet.packet_stats(b)
     details = _stack([stats])
     if b not in packet.TABLE1_TARGETS:
@@ -191,6 +169,7 @@ def _check_table1(b: int, cfg: RunConfig) -> list[Verdict]:
 
 
 def _check_packet(b: int, cfg: RunConfig) -> list[Verdict]:
+    from . import packet
     records = packet.packet_records(b)
     n = len(records["j"])
     details = {"b": np.full(n, b), **records, "probe": Sparse(*packet.probes(records))}
@@ -199,16 +178,17 @@ def _check_packet(b: int, cfg: RunConfig) -> list[Verdict]:
 
 
 def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
+    from . import characters, lvalues, spectrum
     spec = spectrum.spectrum_of(b)
-    js = spec.indices(Family.PRIMITIVE_ODD)
+    js = spec.indices(characters.Family.PRIMITIVE_ODD)
     l1 = spec.L1[js]
-    l_abs, b1_abs = magnitudes(l1), magnitudes(spec.B1[js])
+    l_abs, b1_abs = spectrum.magnitudes(l1), spectrum.magnitudes(spec.B1[js])
     residual = np.abs(b1_abs - b / math.pi * l_abs)
     details = {"b": np.full(len(js), b), "j": js, "L": l1, "L_abs": l_abs, "B1_abs": b1_abs,
                "magnitude_residual": residual}
     if cfg.cutoff is None:
         return [_verdict(f"lvalue-magnitude[b={b}]", residual, cfg.tolerance, details)]
-    series = _stack([lvalues.l_value_series(Character(spec.group, j), cfg.cutoff)
+    series = _stack([lvalues.l_value_series(characters.Character(spec.group, j), cfg.cutoff)
                      for j in js.tolist()])
     gaps = np.array([max(0.0, abs(l_val - s) - tail) for l_val, s, tail in
                      zip(l1.tolist(), series["series"].tolist(), series["tail_bound"].tolist())])
@@ -218,6 +198,7 @@ def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
 
 
 def _check_classnumber(cfg: RunConfig) -> list[Verdict]:
+    from . import lvalues
     details = _stack([lvalues.class_number_check(b) for b in cfg.bases])
     details["equal"] = details["h_from_L"] == details["h_from_forms"]
     residuals = np.abs(details["pre_rounding"] - details["h_from_forms"])
@@ -226,25 +207,29 @@ def _check_classnumber(cfg: RunConfig) -> list[Verdict]:
 
 def _prime_sums(cfg: RunConfig, record: Callable) -> dict[str, np.ndarray]:
     """The records of every (b, s), over one sieve up to the cutoff."""
+    from . import unit_group
     cutoff = DEFAULT_CUTOFF if cfg.cutoff is None else cfg.cutoff
-    primes = sieve_primes(max(cutoff, 2))  # a cutoff below b**2 is refused per record
+    primes = unit_group.sieve_primes(max(cutoff, 2))  # a cutoff below b**2 is refused per record
     return _stack([record(b, s, cutoff, primes) for b in cfg.bases for s in cfg.s_values])
 
 
 def _check_margin(check_name: str, cfg: RunConfig) -> list[Verdict]:
+    from . import prime_sums
     details = _prime_sums(cfg, prime_sums.cross_moment_bound)
     shortfall = np.where(details["margin"] >= 0, 0.0, -details["margin"])  # NaN stays NaN
     return [_verdict(check_name, shortfall, cfg.tolerance, details)]
 
 
 def _check_expansion(cfg: RunConfig) -> list[Verdict]:
+    from . import prime_sums
     details = _prime_sums(cfg, prime_sums.verify_expansion)
     return [_verdict("expansion", details["expansion_residual"], 10 * cfg.tolerance, details),
             _verdict("restriction", details["restriction_residual"], cfg.tolerance)]
 
 
 def _check_dump_collision(b: int, cfg: RunConfig) -> list[Verdict]:
-    table = collision.collision_invariant(build_unit_group(b, Level.MOD_B_SQUARED))
+    from . import collision, unit_group
+    table = collision.collision_invariant(unit_group.build_unit_group(b))
     # S0 = S0_num / b, printed in lowest terms as Fraction would print it.
     g = np.gcd(table.S0_num, b)
     details = {"a": table.units, "S": table.S, "S_centered_num": table.S0_num // g,
@@ -256,50 +241,26 @@ def _check_dump_collision(b: int, cfg: RunConfig) -> list[Verdict]:
                      cfg.tolerance, details)]
 
 
-# ====== the command table ======
+# ====== the checks by command ======
 
 
-class Command(NamedTuple):
-    help: str
-    check: Callable  # (b, cfg) -> verdicts of base b; (cfg) -> all verdicts if whole_run
-    whole_run: bool = False
-    flags: tuple[str, ...] = ()  # beyond COMMON_FLAGS
-    bases: tuple[int, ...] = ()  # default bases; () makes --base/--bases required
-    s_values: tuple[float, ...] = (1.2,)  # default exponents
-    columns: tuple[str, ...] | None = None  # CSV columns; None: union of the tables' columns
-    single_base: bool = False
-
-
-PRIME_SUM_FLAGS = ("--cutoff", "--s")
-
-COMMANDS = {
-    "verify-decompose": Command("factorization of s0_hat through B1 and S_G", _check_decompose),
-    "verify-steps": Command("the steps behind the factorization", _check_steps),
-    "verify-vanishing": Command("vanishing at even / imprimitive-odd characters",
-                                _check_vanishing),
-    "verify-moment": Command("Parseval and the second-moment identity", _check_moment),
-    "verify-encoding": Command("L-encoding of coefficient magnitudes", _check_encoding),
-    "verify-base5": Command("short-sum doubling and the base-5 extras", _check_base5),
-    "table1": Command(
-        "decay statistics of |Delta|/|L|", _check_table1,
-        bases=tuple(sorted(packet.TABLE1_TARGETS)),
-        columns=("b", "mean_ratio", "std_ratio", "std_ln_b", "std_log10_b",
-                 "mean_phase_cos", "count"),
-    ),
-    "packet": Command("per-character packet records", _check_packet),
-    "lvalue": Command("closed-form L(1) values", _check_lvalue, flags=("--cutoff",)),
-    "classnumber": Command(
-        "h(-b) two ways", _check_classnumber, whole_run=True,
-        bases=tuple(b for b in range(7, 164) if is_odd_prime(b) and b % 4 == 3),
-    ),
-    "cross-moment": Command("triangle-inequality margin", partial(_check_margin, "cross-moment"),
-                            whole_run=True, flags=PRIME_SUM_FLAGS),
-    "expansion": Command("finite spectral expansion", _check_expansion,
-                         whole_run=True, flags=PRIME_SUM_FLAGS),
-    "sweep": Command("margin over a (b, s) grid", partial(_check_margin, "sweep-margin"),
-                     whole_run=True, flags=PRIME_SUM_FLAGS,
-                     bases=(5, 7, 13), s_values=(0.8, 1.0, 1.2, 1.5)),
-    "dump-collision": Command("CSV of S and S0", _check_dump_collision, single_base=True),
+# Each command's check, (b, cfg) -> verdicts of base b or (cfg) -> all verdicts
+# if whole_run, and the library module whose imports cover the check's own.
+CHECKS: dict[str, tuple[Callable, str]] = {
+    "verify-decompose": (_check_decompose, "spectrum"),
+    "verify-steps": (_check_steps, "spectrum"),
+    "verify-vanishing": (_check_vanishing, "spectrum"),
+    "verify-moment": (_check_moment, "spectrum"),
+    "verify-encoding": (_check_encoding, "lvalues"),
+    "verify-base5": (_check_base5, "spectrum"),
+    "table1": (_check_table1, "packet"),
+    "packet": (_check_packet, "packet"),
+    "lvalue": (_check_lvalue, "lvalues"),
+    "classnumber": (_check_classnumber, "lvalues"),
+    "cross-moment": (partial(_check_margin, "cross-moment"), "prime_sums"),
+    "expansion": (_check_expansion, "prime_sums"),
+    "sweep": (partial(_check_margin, "sweep-margin"), "prime_sums"),
+    "dump-collision": (_check_dump_collision, "collision"),
 }
 
 
@@ -474,136 +435,28 @@ def render_pretty(report: Report, out: TextIO) -> None:
 
 
 _RENDERERS = {"json": render_json, "csv": render_csv, "pretty": render_pretty}
-_EXTENSIONS = {"json": "json", "csv": "csv", "pretty": "txt"}
-
-
-def _resolve_format(cfg: RunConfig) -> str:
-    if cfg.fmt is not None:
-        return cfg.fmt
-    if cfg.out is not None:
-        return "csv" if cfg.out.endswith(".csv") else "json"
-    if os.environ.get(OUT_DIR_ENV):
-        return "json"
-    return "pretty" if sys.stdout.isatty() else "json"
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one command and write its report; returns the exit code."""
-    command = COMMANDS[cfg.command]
-    if command.whole_run:
-        verdicts = command.check(cfg)
+    """Execute one command, configured by `front.parse`, and write its
+    report; returns the exit code."""
+    check = CHECKS[cfg.command][0]
+    if COMMANDS[cfg.command].whole_run:
+        verdicts = check(cfg)
     else:
-        verdicts = [v for b in cfg.bases for v in command.check(b, cfg)]
+        verdicts = [v for b in cfg.bases for v in check(b, cfg)]
     report = Report(cfg, verdicts)
-    fmt = _resolve_format(cfg)
-
-    path = cfg.out
-    if path is None and os.environ.get(OUT_DIR_ENV):
-        path = os.path.join(os.environ[OUT_DIR_ENV], f"{cfg.command}.{_EXTENSIONS[fmt]}")
-    if path is None:
-        _RENDERERS[fmt](report, sys.stdout)
+    if cfg.out is None:
+        _RENDERERS[cfg.fmt](report, sys.stdout)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
     else:
-        with open(path, "w", encoding="utf-8") as fp:
-            _RENDERERS[fmt](report, fp)
-        print(f"wrote {path}; overall {'PASS' if report.passed else 'FAIL'}")
+        with open(cfg.out, "w", encoding="utf-8") as fp:
+            _RENDERERS[cfg.fmt](report, fp)
+        print(f"wrote {cfg.out}; overall {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 
 
-# ====== argument parsing ======
-
-
-FLAGS = {
-    "--base": dict(type=int, help="single base b (odd prime)"),
-    "--bases": dict(type=str, help="comma-separated bases, e.g. 5,7,13"),
-    "--tol": dict(type=float, default=1e-10, help="base tolerance (default 1e-10)"),
-    "--out": dict(type=str, default=None, help="write the report here"),
-    "--format": dict(choices=("json", "csv", "pretty"), default=None),
-    "--cutoff": dict(type=int, default=None, help="truncation N (prime sums default 10**6)"),
-    "--s": dict(type=str, default=None, help="exponent(s), comma-separated"),
-}
-COMMON_FLAGS = ("--base", "--bases", "--tol", "--out", "--format")
-
-
-def _add_flags(sp: argparse.ArgumentParser, extra: Iterable[str]) -> None:
-    for flag in (*COMMON_FLAGS, *extra):
-        sp.add_argument(flag, **FLAGS[flag])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="collspec",
-        description="verify collision-invariant spectrum identities",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    verify = {name.removeprefix("verify-"): command for name, command in COMMANDS.items()
-              if name.startswith("verify-")}
-    pv = sub.add_parser("verify", help="run one identity check")
-    pv.add_argument("what", choices=tuple(verify),
-                    help="; ".join(f"{what}: {command.help}" for what, command in verify.items()))
-    _add_flags(pv, dict.fromkeys(f for command in verify.values() for f in command.flags))
-    for name, command in COMMANDS.items():
-        if not name.startswith("verify-"):
-            _add_flags(sub.add_parser(name, help=command.help), command.flags)
-    return parser
-
-
-def _config_from_args(args: argparse.Namespace,
-                      parser: argparse.ArgumentParser) -> RunConfig:
-    name = f"verify-{args.what}" if args.command == "verify" else args.command
-    command = COMMANDS[name]
-
-    if args.base is not None and args.bases is not None:
-        parser.error("give --base or --bases, not both")
-    if args.base is not None:
-        bases = (args.base,)
-    elif args.bases is not None:
-        try:
-            bases = tuple(int(x) for x in args.bases.split(","))
-        except ValueError:
-            parser.error(f"cannot parse --bases {args.bases!r}")
-    else:
-        bases = command.bases
-    if not bases:
-        parser.error(f"{name} needs --base or --bases")
-    if len(set(bases)) != len(bases):
-        parser.error(f"--bases repeats a base: {args.bases}")
-    for b in bases:
-        check_base(b)
-    if command.single_base and len(bases) != 1:
-        parser.error(f"{name} takes exactly one base")
-
-    if not 0 < args.tol <= 1e-3:
-        parser.error(f"--tol must lie in (0, 1e-3], got {args.tol}")
-
-    cutoff = getattr(args, "cutoff", None)
-    if cutoff is not None and cutoff <= 0:
-        parser.error(f"--cutoff must be positive, got {cutoff}")
-
-    s_values = command.s_values
-    s_raw = getattr(args, "s", None)
-    if s_raw is not None:
-        try:
-            s_values = tuple(float(x) for x in s_raw.split(","))
-        except ValueError:
-            parser.error(f"cannot parse --s {s_raw!r}")
-
-    return RunConfig(command=name, bases=bases, tolerance=args.tol, cutoff=cutoff,
-                     s_values=s_values, out=args.out, fmt=args.format)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = _config_from_args(args, parser)
-        return run(cfg)
-    except (VerificationError, OSError) as exc:  # OSError: the report cannot be written
-        if isinstance(exc, BrokenPipeError):  # keep the exit-time flush quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    """Parse, then run: the command line in-process, without the entry
+    point's start-up steps (see `collspec.__main__`)."""
+    return front.main(argv, run)

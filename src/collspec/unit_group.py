@@ -18,12 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BaseOutOfRange, LimitTooLarge, NotOddPrime
-
-# Supported bases: the largest prime whose modelled peak RSS, 48 MB + 330 bytes
-# per phi = b(b-1), is at most 4 GB (3.99 GB at b = 3583).  The model bounds
-# `verify decompose` at b = 199, 499 and 997 from above (51.6, 105, 328 MB).
-MAX_BASE = 3583
+from .errors import LimitTooLarge
+from .front import MAX_BASE, check_base, is_odd_prime  # numpy-free; re-exported here
 
 # Sieve memory bound: one byte per odd candidate, 0.5 GB at the bound.
 SIEVE_LIMIT = 1_000_000_000
@@ -34,18 +30,6 @@ class Level(enum.Enum):
 
     MOD_B = "b"
     MOD_B_SQUARED = "b^2"
-
-
-def is_odd_prime(n: int) -> bool:
-    """Deterministic trial-division primality test; rejects 2."""
-    if n < 3 or n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -103,15 +87,6 @@ def _group_with_root(q: int, b: int, phi: int, g: int) -> UnitGroup:
         raise ValueError(f"{g} is not a primitive root mod {q}")
     dlog.flags.writeable = units.flags.writeable = False
     return UnitGroup(q=q, b=b, phi=phi, g=g, units=units, dlog=dlog)
-
-
-def check_base(b: int) -> None:
-    """Refuse b unless it is an odd prime up to MAX_BASE.  The bound is tested
-    first: trial division of a huge b would take sqrt(b) steps."""
-    if isinstance(b, int) and b > MAX_BASE:
-        raise BaseOutOfRange(f"base {b} exceeds the supported bound {MAX_BASE}")
-    if not isinstance(b, int) or isinstance(b, bool) or not is_odd_prime(b):
-        raise NotOddPrime(f"base must be an odd prime, got {b!r}")
 
 
 def build_unit_group(b: int, level: Level = Level.MOD_B_SQUARED) -> UnitGroup:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from collspec import collision, lvalues, prime_sums, spectrum
+from collspec import cli, collision, front, lvalues, packet, prime_sums, spectrum
 from collspec.cli import main
 
 
@@ -87,6 +87,36 @@ def test_unwritable_out_dir_is_usage_error(capsys, monkeypatch, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: FileNotFoundError") and len(err.splitlines()) == 1
+
+
+MISSING = "FileNotFoundError: [Errno 2] No such file or directory"
+
+
+@pytest.mark.parametrize("where,error", [
+    ("out", MISSING),
+    ("out-dir", MISSING),
+    ("out-dir-is-file", "NotADirectoryError: [Errno 20] Not a directory"),
+])
+def test_unwritable_report_is_refused_before_the_check(capsys, monkeypatch, tmp_path,
+                                                       where, error):
+    def refuse(b):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(spectrum, "spectrum_of", refuse)
+    out_dir = tmp_path / "no-such-dir"
+    argv = ["verify", "decompose", "--base", "5"]
+    if where == "out":
+        path = out_dir / "r.json"
+        argv += ["--out", str(path)]
+    else:
+        if where == "out-dir-is-file":
+            out_dir.write_text("")
+        monkeypatch.setenv("COLLSPEC_OUT_DIR", str(out_dir))
+        path = out_dir / "verify-decompose.json"
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {error}: {str(path)!r}\n"
 
 
 @pytest.mark.parametrize("argv,lines", [
@@ -372,34 +402,120 @@ def test_entry_point_pins_blas_threads(given, pinned):
 
 
 # A child started as the console script starts it: import the entry point
-# and call its main.  It reports the exit code, and which of the modules
-# the command path must not load did load, on its last stderr line.
+# and call its main.  On its last stderr line it reports the exit code,
+# whether numpy loaded, the collspec modules loaded, those first imported
+# after the heap was frozen, the freeze count (a freeze holds until exit),
+# the BLAS pin, and which of the modules the command path must not load did.
 ENTRY_CHILD = """
-import json, sys
+import gc, json, os, sys
+late = []
+
+class Late:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.startswith("collspec") and gc.get_freeze_count():
+            late.append(name)
+
+sys.meta_path.insert(0, Late)
 from collspec.__main__ import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --help and usage errors
     code = exc.code
 sys.stdout.flush()
-print(json.dumps([code, [m for m in ("numpy.ma", "fractions") if m in sys.modules]]),
-      file=sys.stderr)
+print(json.dumps({
+    "code": code, "numpy": "numpy" in sys.modules,
+    "collspec": sorted(m for m in sys.modules if m.split(".")[0] == "collspec"),
+    "late": late, "frozen": gc.get_freeze_count(),
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "unwanted": [m for m in ("numpy.ma", "fractions") if m in sys.modules],
+}), file=sys.stderr)
 """
 
 
 def run_entry(*argv):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "COLLSPEC_OUT_DIR")}
     proc = subprocess.run([sys.executable, "-c", ENTRY_CHILD, *argv], capture_output=True,
-                          timeout=60)
-    code, loaded = json.loads(proc.stderr.splitlines()[-1])
-    return code, loaded, proc.stdout
+                          timeout=60, env=env)
+    report = json.loads(proc.stderr.splitlines()[-1])
+    return report["code"], report, proc.stdout
 
 
 @pytest.mark.parametrize("argv", [("packet", "--base", "5"), ("verify", "decompose", "--base", "5"),
                                   ("dump-collision", "--base", "5"), ("--help",)], ids=" ".join)
 def test_command_path_skips_numpy_ma_and_fractions(argv):
-    code, loaded, _ = run_entry(*argv)
+    code, report, _ = run_entry(*argv)
     assert code == 0
-    assert loaded == []
+    assert report["unwanted"] == []
+
+
+FRONT_MODULES = ["collspec", "collspec.__main__", "collspec.errors", "collspec.front"]
+FRONT_CASES = [
+    (("--help",), 0),
+    (("verify", "--help"), 0),
+    (("dump-collision", "--help"), 0),
+    (("verify", "decompose", "--base", "4"), 2),
+    (("verify", "decompose", "--base", "3593"), 2),  # the first prime above MAX_BASE
+    (("verify", "decompose", "--bases", "5,5"), 2),
+    (("verify", "decompose", "--base", "5", "--bases", "7"), 2),
+    (("verify", "decompose", "--base", "5", "--tol", "1"), 2),
+    (("expansion", "--base", "5", "--cutoff", "0"), 2),
+    (("cross-moment", "--base", "5", "--s", "x"), 2),
+    (("dump-collision", "--bases", "5,7"), 2),
+    (("verify", "decompose", "--base", "5", "--out", "no-such-dir/r.json"), 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", FRONT_CASES, ids=[" ".join(a) for a, _ in FRONT_CASES])
+def test_help_and_refusals_end_before_numpy(argv, code):
+    got, report, _ = run_entry(*argv)
+    assert got == code
+    assert not report["numpy"]
+    assert report["collspec"] == FRONT_MODULES
+
+
+BACK_MODULES = [*FRONT_MODULES, "collspec.cli"]
+SPECTRUM = ["characters", "collision", "spectrum", "unit_group"]
+LAYER_CASES = [
+    (("verify", "decompose", "--base", "5"), SPECTRUM),
+    (("verify", "steps", "--base", "5"), SPECTRUM),
+    (("verify", "vanishing", "--base", "5"), SPECTRUM),
+    (("verify", "moment", "--base", "5"), SPECTRUM),
+    (("verify", "encoding", "--base", "5"), [*SPECTRUM, "lvalues"]),
+    (("verify", "base5", "--base", "5"), SPECTRUM),
+    (("table1", "--bases", "7"), [*SPECTRUM, "packet"]),
+    (("packet", "--base", "5"), [*SPECTRUM, "packet"]),
+    (("lvalue", "--base", "5", "--cutoff", "1000"), [*SPECTRUM, "lvalues"]),
+    (("classnumber", "--bases", "7"), [*SPECTRUM, "lvalues"]),
+    (("cross-moment", "--base", "5", "--cutoff", "2000"), [*SPECTRUM, "prime_sums"]),
+    (("expansion", "--base", "5", "--cutoff", "2000"), [*SPECTRUM, "prime_sums"]),
+    (("sweep", "--bases", "5", "--cutoff", "2000"), [*SPECTRUM, "prime_sums"]),
+    (("dump-collision", "--base", "5"), ["collision", "unit_group"]),
+]
+
+
+@pytest.mark.parametrize("argv,layers", LAYER_CASES, ids=[" ".join(a) for a, _ in LAYER_CASES])
+def test_command_runs_frozen_with_only_its_layers(argv, layers):
+    # pinned BLAS, a frozen heap, and no library module the check does not
+    # use, nor any imported after the freeze
+    code, report, _ = run_entry(*argv)
+    assert code == 0
+    assert report["blas"] == "1"
+    assert report["frozen"] > 10_000
+    assert report["late"] == []
+    assert report["collspec"] == sorted([*BACK_MODULES, *(f"collspec.{m}" for m in layers)])
+
+
+def test_front_and_back_name_the_same_commands():
+    assert len(front.COMMANDS) == 14
+    assert list(front.COMMANDS) == list(cli.CHECKS)
+
+
+def test_default_bases():
+    assert front.COMMANDS["table1"].bases == tuple(sorted(packet.TABLE1_TARGETS))
+    assert front.COMMANDS["classnumber"].bases == (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79,
+                                                   83, 103, 107, 127, 131, 139, 151, 163)
 
 
 EXIT_CASES = [
@@ -476,6 +592,22 @@ def test_report_matches_golden(capsys, argv, code, fmt):
     assert out.encode("utf-8") == golden
     if fmt == "json":
         strict_json(golden)
+
+
+# --help of the top level, of verify and of each other command, pinned at
+# 80 columns in tests/golden/help*.txt.
+HELP_CASES = [(), ("verify",),
+              *((name,) for name in front.COMMANDS if not name.startswith("verify-"))]
+
+
+@pytest.mark.parametrize("argv", HELP_CASES, ids=lambda argv: " ".join(argv) or "top")
+def test_help_matches_golden(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    golden = GOLDEN / f"{'-'.join(('help', *argv))}.txt"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
 THREAD_CASES = [

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from collspec import cli
-from collspec.cli import BLOCK_ROWS, COMMANDS, Report, RunConfig, Sparse, Verdict
+from collspec.cli import BLOCK_ROWS, Report, Sparse, Verdict
+from collspec.front import COMMANDS, RunConfig
 
 # ====== oracle: the per-cell route ======
 
