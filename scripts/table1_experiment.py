@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from collspec.characters import Character, Family
+from collspec.characters import Family, roots_of_unity
 from collspec.packet import TABLE1_FAMILY, TABLE1_TARGETS, packet_records
 from collspec.unit_group import Level, build_unit_group
 
@@ -60,17 +60,17 @@ def check_series(b, records, terms=2_000_000):
     Returns the worst |stated - series route| over the primitive and over
     the imprimitive records separately (0.0 for a family with none)."""
     group = build_unit_group(b, Level.MOD_B_SQUARED)
-    q = group.q
+    q, phi, units = group.q, group.phi, group.units
     n_eff = -(-terms // q) * q
     n = np.arange(1, n_eff + 1)
     cosine = np.cos(2 * np.pi * n / b)
     worst = {True: 0.0, False: 0.0}
     for j, l1, delta in zip(*(records[k].tolist() for k in ("j", "L1", "delta"))):
-        chi = Character(group, j)
-        vals = chi.conjugate().values_by_residue()
+        vals = np.zeros(q, dtype=complex)  # conj(chi_j) = chi_{-j} by residue
+        vals[units] = roots_of_unity(phi)[-j * group.dlog[units] % phi]
         t_sum = complex(np.sum(vals[n % q] * cosine / n))
         alt = 1j * t_sum + 1j * l1 / (b - 1)
-        primitive = chi.is_primitive()
+        primitive = j % b != 0
         worst[primitive] = max(worst[primitive], abs(alt - delta))
     return worst[True], worst[False]
 

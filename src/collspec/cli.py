@@ -188,8 +188,7 @@ def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
                "magnitude_residual": residual}
     if cfg.cutoff is None:
         return [_verdict(f"lvalue-magnitude[b={b}]", residual, cfg.tolerance, details)]
-    series = _stack([lvalues.l_value_series(characters.Character(spec.group, j), cfg.cutoff)
-                     for j in js.tolist()])
+    series = _stack([lvalues.l_value_series(spec.group, j, cfg.cutoff) for j in js.tolist()])
     gaps = np.array([max(0.0, abs(l_val - s) - tail) for l_val, s, tail in
                      zip(l1.tolist(), series["series"].tolist(), series["tail_bound"].tolist())])
     details.update(series, agreement_gap=gaps)

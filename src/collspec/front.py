@@ -17,6 +17,7 @@ suffix of --out, else pretty on a terminal and JSON otherwise.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -185,7 +186,8 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
 def parse(argv: list[str] | None) -> RunConfig:
     """The validated run of argv, its format and report file (out; None:
     stdout) settled.  argparse exits on --help and usage errors; a refused
-    input raises, and so does a report file in a missing directory."""
+    input raises, and so does a report file in a missing directory or one
+    that is itself a directory."""
     parser = build_parser()
     cfg = _config_from_args(parser.parse_args(argv), parser)
     fmt, out, out_dir = cfg.fmt, cfg.out, os.environ.get(OUT_DIR_ENV)
@@ -198,6 +200,8 @@ def parse(argv: list[str] | None) -> RunConfig:
     if out is not None:
         try:
             os.stat(os.path.join(os.path.dirname(out) or ".", ""))  # the slash: a directory
+            if os.path.isdir(out):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, out) from None
     return cfg._replace(fmt=fmt, out=out)

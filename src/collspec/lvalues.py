@@ -7,8 +7,9 @@ Closed form (odd primitive chi mod q):
 so with |tau(chi)| = sqrt(q) the magnitudes obey
 |B1| = (sqrt(q)/pi) * |L(1, chi)|; on modulus b**2 that reads
 |B1| = (b/pi) * |L|.  The independent oracle is the truncated series
+of chi_j, named by its dual index j,
 
-    sum_{n <= N} chi(n) / n,
+    sum_{n <= N} chi_j(n) / n,
 
 summed over whole periods of chi so that partial summation gives the
 tail bound M_chi / N with M_chi the exact one-period maximum of
@@ -30,22 +31,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import Character, Family, enumerate_family, gauss_sum
+from .characters import Family, roots_of_unity
 from .errors import BadDiscriminant, CutoffTooShort, LimitTooLarge, PrincipalCharacter
-from .spectrum import _require_primitive_odd, bernoulli_b1, dual_transforms, magnitudes, spectrum_of
-from .unit_group import Level, build_unit_group, is_odd_prime
+from .spectrum import dual_transforms, magnitudes, spectrum_of
+from .unit_group import Level, UnitGroup, build_unit_group, is_odd_prime
 
 
 # Series truncation bound.  The harmonic sums take O(q) memory at any
 # truncation; the bound caps their time (0.3-0.5 s at 10**8 terms).
 SERIES_LIMIT = 100_000_000
 SERIES_BLOCK = 1 << 16  # terms summed at a time, rounded down to whole periods
-
-
-def l_value_closed(chi: Character) -> complex:
-    """L(1, chi) = i pi tau(chi) B1(conj chi) / q for odd primitive chi."""
-    _require_primitive_odd(chi)
-    return 1j * math.pi * gauss_sum(chi) * bernoulli_b1(chi) / chi.group.q
 
 
 @lru_cache(maxsize=8)
@@ -65,14 +60,16 @@ def _harmonic_by_residue(q: int, n_eff: int) -> np.ndarray:
     return out
 
 
-def max_partial_sum(chi: Character) -> float:
-    """M_chi: exact one-period maximum of |sum_{n <= t} chi(n)|."""
-    running = np.cumsum(chi.values_by_residue()[1:])  # t = 1 .. q-1; t = 0 gives 0
+def max_partial_sum(values: np.ndarray) -> float:
+    """M_chi: exact one-period maximum of |sum_{n <= t} chi(n)|, from chi's
+    length-q value table."""
+    running = np.cumsum(values[1:])  # t = 1 .. q-1; t = 0 gives 0
     return float(np.max(np.abs(running)))
 
 
-def l_value_series(chi: Character, cutoff: int) -> dict:
-    """Truncated Dirichlet series oracle with a valid tail bound.
+def l_value_series(group: UnitGroup, j: int, cutoff: int) -> dict:
+    """Truncated Dirichlet series oracle for chi_j (j read mod phi) on group,
+    with a valid tail bound.
 
     The truncation is rounded up to a whole number of periods, which is
     what makes the partial-summation bound M_chi / N correct (the
@@ -80,17 +77,19 @@ def l_value_series(chi: Character, cutoff: int) -> dict:
     Keys: series, the truncated sum; series_truncation, the rounded-up
     truncation N; tail_bound, M_chi / N.
     """
-    if chi.is_principal:
+    if j % group.phi == 0:
         raise PrincipalCharacter("the series needs a non-principal character")
-    q = chi.group.q
+    q = group.q
     if cutoff < q * q:
         raise CutoffTooShort(f"truncation {cutoff} too short; need at least q^2 = {q * q}")
     if cutoff > SERIES_LIMIT:
         raise LimitTooLarge(f"truncation {cutoff} exceeds the series bound {SERIES_LIMIT}")
     n_eff = -(-cutoff // q) * q
     harmonic = _harmonic_by_residue(q, n_eff)
-    return {"series": complex(np.dot(chi.values_by_residue(), harmonic)),
-            "series_truncation": n_eff, "tail_bound": max_partial_sum(chi) / n_eff}
+    values = np.zeros(q, dtype=complex)  # chi_j by residue, 0 off the units
+    values[group.units] = roots_of_unity(group.phi)[j * group.dlog[group.units] % group.phi]
+    return {"series": complex(np.dot(values, harmonic)),
+            "series_truncation": n_eff, "tail_bound": max_partial_sum(values) / n_eff}
 
 
 # ====== L-encoding of the spectrum ======
@@ -144,12 +143,3 @@ def class_number_check(b: int) -> dict:
     raw = math.sqrt(b) * abs(l_val) / math.pi
     return {"b": b, "D": -b, "h_from_L": round(raw), "h_from_forms": len(reduced_forms(-b)),
             "pre_rounding": raw}
-
-
-def series_family(b: int, cutoff: int) -> list[tuple[complex, dict]]:
-    """(closed, series) pairs for every primitive odd chi mod b**2."""
-    group = build_unit_group(b, Level.MOD_B_SQUARED)
-    return [
-        (l_value_closed(chi), l_value_series(chi, cutoff))
-        for chi in enumerate_family(group, Family.PRIMITIVE_ODD)
-    ]

@@ -12,10 +12,14 @@ primitive odd mod b**2 (the lift of xi shifts the index by a multiple
 of b without changing parity), so the closed form applies term by term.
 
 An imprimitive odd chi = chi_{b*k} mod b**2 is induced by the odd
-character chi_k mod b on the companion group.  That character vanishes
-at b, so L(1, chi) equals its L-value, and each twist xi * conj(chi) is
-induced by the odd, hence primitive, character xi * conj(chi_k) mod b.
-Those imprimitive records take every L-value in closed form mod b.
+character chi_k mod b, indexed against the reduction of the mod-b**2
+root.  That is the least primitive root mod b, the root the mod-b group
+is built on: for every odd prime b <= MAX_BASE the least root mod b is
+a primitive root mod b**2, hence also the least one there (a guard
+refuses any other pairing).  chi_k vanishes at b, so L(1, chi) equals
+its L-value, and each twist xi * conj(chi) is induced by the odd, hence
+primitive, character xi * conj(chi_k) mod b.  Those imprimitive records
+take every L-value in closed form mod b.
 
 packet_stats aggregates |Delta|/|L| and the phase gap over a family:
 the (b-1)^2/2 primitive odd characters by default, or all b(b-1)/2 odd
@@ -35,9 +39,10 @@ import math
 
 import numpy as np
 
-from .characters import Family, companion_mod_b
-from .errors import BaseOutOfRange
+from .characters import Family
+from .errors import BaseOutOfRange, IncompatibleGroups
 from .spectrum import dual_transforms, magnitudes, spectrum_of
+from .unit_group import Level, build_unit_group
 
 
 def _packet_records(b: int, js: np.ndarray) -> dict[str, np.ndarray]:
@@ -47,12 +52,16 @@ def _packet_records(b: int, js: np.ndarray) -> dict[str, np.ndarray]:
     phase_cos = cos(arg delta - arg L1); twist_count, always (b-3)/2.
 
     The twist of conj(chi_j) by xi_k mod b is chi_{(b*k - j) mod phi}; for
-    imprimitive j = b*k0 it is induced by chi_{(k - k0) mod (b-1)} on the
-    companion group, and conj(chi_j) by chi_{-k0}.
+    imprimitive j = b*k0 it is induced by chi_{(k - k0) mod (b-1)} mod b,
+    and conj(chi_j) by chi_{-k0}.
     """
     spec = spectrum_of(b)
     phi, phi_b = spec.group.phi, b - 1
-    _, tau_b, l1_b = dual_transforms(companion_mod_b(spec.group))
+    mod_b = build_unit_group(b, Level.MOD_B)
+    if mod_b.g != spec.group.g % b:
+        raise IncompatibleGroups(
+            f"root {spec.group.g} mod {b * b} does not reduce to the root {mod_b.g} mod {b}")
+    _, tau_b, l1_b = dual_transforms(mod_b)
     primitive = spec.primitive[js]
     k0 = js // b
     l1 = np.where(primitive, spec.L1[-js % phi], l1_b[-k0 % phi_b])

@@ -28,7 +28,8 @@ once as n + 1 and once as n: it is exactly 0, and so are those entries
 Measured: factorization residual 3.1e-16, 5.6e-16, 4.7e-16 and 6.3e-16
 at b = 13, 43, 97 and 199; |s0_hat| on the vanishing families below
 2.1e-16; the arrays within 1.2e-13 of the direct per-character sums at
-b = 43.
+b = 43.  Those one-character sums are not part of the library: they are
+the tests' oracles (tests/oracles.py).
 
 verify_proof_steps re-derives the factorization for every primitive odd
 chi at once, each ingredient a transform held against its closed form:
@@ -62,57 +63,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import Character, Family, _unit_phases, family_mask, roots_of_unity
+from .characters import Family, _unit_phases, family_mask, roots_of_unity
 from .collision import CollisionTable, collision_invariant, diagonal_set
-from .errors import NotPrimitiveOdd, WrongModulus
 from .unit_group import Level, UnitGroup, build_unit_group
-
-
-# ====== per-character direct sums (single-character API and test oracles) ======
-
-
-def fourier_coefficient(table: CollisionTable, chi: Character) -> complex:
-    """s0_hat(chi) = (1/phi) sum_a S0(a) conj(chi(a))."""
-    if chi.group.q != table.m:
-        raise WrongModulus("table and character moduli differ")
-    vals = np.conj(chi.values_on_units())
-    return complex(np.dot(table.S0_num / table.b, vals)) / chi.group.phi
-
-
-def bernoulli_b1(chi: Character) -> complex:
-    """First generalized Bernoulli number of the conjugate character.
-
-    (1/q) * sum_a a * conj(chi(a)) over a in [1, q).  Works on either
-    modulus.
-    """
-    g = chi.group
-    weights = g.units.astype(float)
-    return complex(np.dot(weights, np.conj(chi.values_on_units()))) / g.q
-
-
-def diagonal_sum(chi: Character) -> complex:
-    """S_G(chi) = sum_{n in G} [conj(chi)(n+1) - conj(chi)(n)]."""
-    chibar = chi.conjugate()
-    total = 0j
-    for n in diagonal_set(chi.group.b).members:
-        total += chibar.value(n + 1) - chibar.value(n)
-    return total
-
-
-def short_partial_sum(chi: Character) -> complex:
-    """P(chi) = sum_{k=1}^{b-1} conj(chi)(k), the short initial segment."""
-    chibar = chi.conjugate()
-    return sum((chibar.value(k) for k in range(1, chi.group.b)), 0j)
-
-
-def _require_primitive_odd(chi: Character) -> None:
-    if chi.group.q == chi.group.b:
-        if not chi.is_odd:
-            raise NotPrimitiveOdd(f"chi_{chi.index} mod {chi.group.q} is even")
-    elif not (chi.is_odd and chi.is_primitive()):
-        raise NotPrimitiveOdd(
-            f"chi_{chi.index} mod {chi.group.q} is not primitive odd"
-        )
 
 
 # ====== every character at once ======
@@ -156,8 +109,8 @@ class Spectrum:
 
     Entry j belongs to chi_j mod b**2.  B1 is the Bernoulli number of
     the conjugate character; L1 = i*pi*tau*B1/q is L(1, chi_j) on the
-    primitive odd entries.  odd and primitive are the parity and
-    primitivity masks.
+    primitive odd entries (tau itself is not kept).  odd and primitive
+    are the parity and primitivity masks.
     """
 
     b: int
@@ -167,13 +120,12 @@ class Spectrum:
     B1: np.ndarray
     S_G: np.ndarray
     P_short: np.ndarray
-    tau: np.ndarray
     L1: np.ndarray
     odd: np.ndarray
     primitive: np.ndarray
 
     def indices(self, family: Family = Family.ALL) -> np.ndarray:
-        """Ascending j of a family, as enumerate_family orders it."""
+        """The j of a family, ascending."""
         return np.flatnonzero(family_mask(family, self.odd, self.primitive))
 
     @property
@@ -200,9 +152,9 @@ def spectrum_of(b: int) -> Spectrum:
     s_g[::b] = np.fft.fft(fold)  # the entries j = b*k (see the docstring)
     h = _term_histogram(group, np.arange(1, b))
     p_short = np.fft.fft(h, out=h)
-    b1, tau, l1 = dual_transforms(group)
+    b1, _, l1 = dual_transforms(group)  # tau is not kept: packets take it mod b
     s_hat = np.fft.fft(_by_dlog(group, table.S0_num / b)) / phi
-    arrays = dict(s_hat=s_hat, B1=b1, S_G=s_g, P_short=p_short, tau=tau, L1=l1,
+    arrays = dict(s_hat=s_hat, B1=b1, S_G=s_g, P_short=p_short, L1=l1,
                   odd=j % 2 == 1, primitive=j % b != 0)
     for arr in arrays.values():
         arr.flags.writeable = False

@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from collspec.characters import (
-    Character,
-    Family,
-    build_group_pair,
-    companion_mod_b,
-    enumerate_family,
-    gauss_sum,
-    lift_and_twist,
-)
-from collspec.errors import IncompatibleGroups, WrongModulus
+from collspec.characters import Character, Family, family_mask, gauss_sum
 from collspec.unit_group import Level, build_unit_group
+from oracles import conjugate, is_primitive_by_subgroup
 
 G9 = build_unit_group(3, Level.MOD_B_SQUARED)
 G3 = build_unit_group(3, Level.MOD_B)
@@ -21,11 +13,10 @@ G3 = build_unit_group(3, Level.MOD_B)
 
 def test_principal_character():
     chi0 = Character(G9, 0)
-    assert chi0.is_principal
     assert chi0.value(7) == 1
     assert chi0.value(6) == 0  # not a unit
     assert chi0.value(16) == 1  # reduces mod 9
-    assert chi0.is_even
+    assert chi0.value(G9.q - 1) == 1  # even
 
 
 def test_index_out_of_range():
@@ -48,19 +39,19 @@ def test_quadratic_character_mod_9():
     assert chi.value(1) == pytest.approx(1)
     # 5 = g^5, so chi(5) = (-1)^5 = -1
     assert chi.value(5) == pytest.approx(-1)
-    assert chi.is_odd
+    assert chi.value(G9.q - 1) == pytest.approx(-1)  # odd
 
 
 def test_parity_matches_value_at_minus_one():
+    # chi_j(-1) = (-1)**j: the parity rule behind Spectrum.odd
     for j in range(G9.phi):
-        chi = Character(G9, j)
-        v = chi.value(G9.q - 1)
-        assert v == pytest.approx(1 if chi.is_even else -1)
+        v = Character(G9, j).value(G9.q - 1)
+        assert v == pytest.approx((-1) ** j)
 
 
 def test_conjugate_is_pointwise_conjugate():
     chi = Character(G9, 1)
-    bar = chi.conjugate()
+    bar = conjugate(chi)  # index -j
     for a in G9.units:
         assert bar.value(a) == pytest.approx(chi.value(a).conjugate())
 
@@ -77,34 +68,26 @@ def test_primitivity_definitions_agree(b):
     """Index test (b does not divide j) vs restriction to 1 + tb."""
     g = build_unit_group(b, Level.MOD_B_SQUARED)
     for j in range(g.phi):
-        chi = Character(g, j)
-        assert chi.is_primitive() == chi.is_primitive_by_subgroup()
+        assert (j % b != 0) == is_primitive_by_subgroup(Character(g, j))
+
+
+def family(b, fam):
+    """The j of a family mod b**2, from the index rules (odd j; b not dividing j)."""
+    j = np.arange(b * (b - 1))
+    return set(np.flatnonzero(family_mask(fam, j % 2 == 1, j % b != 0)).tolist())
 
 
 def test_primitive_odd_count_mod_25():
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
-    fam = enumerate_family(g, Family.PRIMITIVE_ODD)
-    assert len(fam) == (5 - 1) ** 2 // 2 == 8
-    assert [c.index for c in fam] == sorted(c.index for c in fam)
+    assert len(family(5, Family.PRIMITIVE_ODD)) == (5 - 1) ** 2 // 2 == 8
 
 
 def test_family_partition():
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
-    odd = enumerate_family(g, Family.ODD)
-    even = enumerate_family(g, Family.EVEN)
-    assert len(odd) + len(even) == g.phi
-    prim = enumerate_family(g, Family.PRIMITIVE_ODD)
-    imprim = enumerate_family(g, Family.IMPRIMITIVE_ODD)
-    assert {c.index for c in prim} | {c.index for c in imprim} == {
-        c.index for c in odd
-    }
-
-
-def test_primitivity_filter_needs_mod_b_squared():
-    with pytest.raises(WrongModulus):
-        enumerate_family(G3, Family.PRIMITIVE_ODD)
-    with pytest.raises(WrongModulus):
-        Character(G3, 1).is_primitive()
+    odd, even = family(5, Family.ODD), family(5, Family.EVEN)
+    assert odd | even == family(5, Family.ALL) == set(range(20))
+    assert not odd & even
+    prim, imprim = family(5, Family.PRIMITIVE_ODD), family(5, Family.IMPRIMITIVE_ODD)
+    assert prim | imprim == odd
+    assert not prim & imprim
 
 
 @pytest.mark.parametrize("b", [3, 5, 7])
@@ -113,10 +96,9 @@ def test_gauss_sum_magnitude(b, level):
     # |tau(chi)| = sqrt(q) for primitive chi
     g = build_unit_group(b, level)
     for j in range(1, g.phi):
-        chi = Character(g, j)
-        if level is Level.MOD_B_SQUARED and not chi.is_primitive():
+        if level is Level.MOD_B_SQUARED and j % b == 0:  # imprimitive
             continue
-        assert abs(gauss_sum(chi)) == pytest.approx(math.sqrt(g.q), abs=1e-10)
+        assert abs(gauss_sum(Character(g, j))) == pytest.approx(math.sqrt(g.q), abs=1e-10)
 
 
 def test_gauss_sum_principal_is_mu():
@@ -152,59 +134,21 @@ def test_orthogonality():
 def test_primitive_characters_kill_cosets(b):
     # sum of chi over a coset of 1 + tb vanishes for primitive chi
     g = build_unit_group(b, Level.MOD_B_SQUARED)
-    chi = next(c for c in enumerate_family(g, Family.ALL) if c.index == 1)
-    assert chi.is_primitive()
+    chi = Character(g, 1)
+    assert is_primitive_by_subgroup(chi)
     coset = [(2 * (1 + t * b)) % g.q for t in range(b)]
     assert abs(sum(chi.value(a) for a in coset)) < 1e-10
 
 
-def test_companion_and_pair():
-    pair = build_group_pair(3)
-    assert pair.mod_b.q == 3
-    assert pair.mod_b_squared.q == 9
-    assert pair.mod_b_squared.g % 3 == pair.mod_b.g
-    comp = companion_mod_b(G9)
-    assert comp.g == G9.g % 3
-    with pytest.raises(WrongModulus):
-        companion_mod_b(G3)
-
-
 def test_lift_and_twist_pointwise():
-    """xi * conj(chi) evaluated by index arithmetic equals the product."""
-    pair = build_group_pair(3)
-    gb, gb2 = pair.mod_b, pair.mod_b_squared
-    for jx in range(gb.phi):
+    """xi_k mod b times chi_j mod b**2 is chi_{j + b*k} on the units: the index
+    rule packets twist by, with the mod-b root the reduction of the mod-b**2 one."""
+    gb, gb2 = build_unit_group(3, Level.MOD_B), build_unit_group(3, Level.MOD_B_SQUARED)
+    assert gb2.g % 3 == gb.g
+    for jx in range(gb.phi):  # jx = 0: the principal xi leaves chi unchanged
         xi = Character(gb, jx)
         for jc in range(gb2.phi):
             chi = Character(gb2, jc)
-            tw = lift_and_twist(xi, chi)
+            tw = Character(gb2, (jc + 3 * jx) % gb2.phi)
             for a in gb2.units:
                 assert tw.value(a) == pytest.approx(xi.value(a % 3) * chi.value(a))
-
-
-def test_lift_principal_is_identity():
-    pair = build_group_pair(5)
-    xi0 = Character(pair.mod_b, 0)
-    chi = Character(pair.mod_b_squared, 3)
-    assert lift_and_twist(xi0, chi).index == chi.index
-
-
-def test_lift_and_twist_rejects_wrong_moduli():
-    pair3 = build_group_pair(3)
-    pair5 = build_group_pair(5)
-    with pytest.raises(WrongModulus):
-        lift_and_twist(Character(pair5.mod_b, 1), Character(pair3.mod_b_squared, 1))
-    with pytest.raises(WrongModulus):
-        lift_and_twist(Character(pair3.mod_b_squared, 1),
-                       Character(pair3.mod_b_squared, 1))
-
-
-def test_lift_and_twist_rejects_incompatible_roots():
-    from collspec.unit_group import _group_with_root
-
-    # 3 generates (Z/5Z)* but does not match the mod-25 root 2
-    g5_alt = _group_with_root(5, 5, 4, 3)
-    g25 = build_unit_group(5, Level.MOD_B_SQUARED)
-    assert g25.g % 5 != g5_alt.g
-    with pytest.raises(IncompatibleGroups):
-        lift_and_twist(Character(g5_alt, 1), Character(g25, 1))

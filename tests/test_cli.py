@@ -94,6 +94,7 @@ MISSING = "FileNotFoundError: [Errno 2] No such file or directory"
 
 @pytest.mark.parametrize("where,error", [
     ("out", MISSING),
+    ("out-is-dir", "IsADirectoryError: [Errno 21] Is a directory"),
     ("out-dir", MISSING),
     ("out-dir-is-file", "NotADirectoryError: [Errno 20] Not a directory"),
 ])
@@ -107,6 +108,9 @@ def test_unwritable_report_is_refused_before_the_check(capsys, monkeypatch, tmp_
     argv = ["verify", "decompose", "--base", "5"]
     if where == "out":
         path = out_dir / "r.json"
+        argv += ["--out", str(path)]
+    elif where == "out-is-dir":
+        path = tmp_path
         argv += ["--out", str(path)]
     else:
         if where == "out-dir-is-file":
@@ -464,6 +468,7 @@ FRONT_CASES = [
     (("cross-moment", "--base", "5", "--s", "x"), 2),
     (("dump-collision", "--bases", "5,7"), 2),
     (("verify", "decompose", "--base", "5", "--out", "no-such-dir/r.json"), 2),
+    (("verify", "decompose", "--base", "199", "--out", "."), 2),
 ]
 
 

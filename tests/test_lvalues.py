@@ -3,20 +3,21 @@ import tracemalloc
 
 import pytest
 
-from collspec.characters import Character, Family, enumerate_family
+import numpy as np
+
+from collspec.characters import Character, Family
 from collspec.errors import BadDiscriminant, NotPrimitiveOdd, PrincipalCharacter
 from collspec.lvalues import (
     _harmonic_by_residue,
     class_number_check,
-    l_value_closed,
     l_value_series,
     max_partial_sum,
     reduced_forms,
-    series_family,
     verify_encoding,
 )
-from collspec.spectrum import bernoulli_b1, spectrum_of
+from collspec.spectrum import spectrum_of
 from collspec.unit_group import Level, build_unit_group
+from oracles import bernoulli_b1, l_value_closed
 
 
 def legendre(b):
@@ -48,17 +49,17 @@ def test_closed_form_rejects_even_and_principal():
 
 def test_magnitude_law_mod_25():
     # |B1| = (b/pi) |L| for primitive odd chi mod b^2
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
-    for chi in enumerate_family(g, Family.PRIMITIVE_ODD):
+    g = spectrum_of(5).group
+    for j in spectrum_of(5).indices(Family.PRIMITIVE_ODD).tolist():
+        chi = Character(g, j)
         lval = abs(l_value_closed(chi))
         assert abs(bernoulli_b1(chi)) == pytest.approx(5 / math.pi * lval, abs=1e-13)
 
 
 def test_series_agrees_with_closed_form():
     g = build_unit_group(3, Level.MOD_B_SQUARED)
-    chi = Character(g, 1)
-    closed = l_value_closed(chi)
-    series = l_value_series(chi, 200_000)
+    closed = l_value_closed(Character(g, 1))
+    series = l_value_series(g, 1, 200_000)
     assert list(series) == ["series", "series_truncation", "tail_bound"]
     assert abs(closed - series["series"]) <= series["tail_bound"]
     assert series["series_truncation"] % 9 == 0
@@ -68,7 +69,7 @@ def test_series_agrees_with_closed_form():
 def test_series_legendre_mod_3():
     # direct alternating structure: 1 - 1/2 + 1/4 - 1/5 + ...
     chi = legendre(3)
-    series = l_value_series(chi, 100_000)
+    series = l_value_series(chi.group, chi.index, 100_000)
     assert series["series"].real == pytest.approx(math.pi / (3 * math.sqrt(3)), abs=1e-5)
     assert abs(series["series"].imag) < 1e-15
 
@@ -76,18 +77,20 @@ def test_series_legendre_mod_3():
 def test_series_guards():
     g = build_unit_group(3, Level.MOD_B_SQUARED)
     with pytest.raises(PrincipalCharacter):
-        l_value_series(Character(g, 0), 10 ** 5)
+        l_value_series(g, 0, 10 ** 5)
+    with pytest.raises(PrincipalCharacter):
+        l_value_series(g, g.phi, 10 ** 5)  # j is read mod phi
     with pytest.raises(ValueError):
-        l_value_series(Character(g, 1), 80)  # below q^2
+        l_value_series(g, 1, 80)  # below q^2
 
 
 def test_series_memory_is_linear_in_q():
     # summing all 10**7 terms at once would peak near 150 MB
-    chi = Character(build_unit_group(5, Level.MOD_B_SQUARED), 1)
+    g = build_unit_group(5, Level.MOD_B_SQUARED)
     _harmonic_by_residue.cache_clear()
     tracemalloc.start()
     try:
-        l_value_series(chi, 10**7)
+        l_value_series(g, 1, 10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -97,15 +100,16 @@ def test_series_memory_is_linear_in_q():
 def test_max_partial_sum_bounds():
     g = build_unit_group(5, Level.MOD_B_SQUARED)
     for j in (1, 3, 7):
-        m = max_partial_sum(Character(g, j))
+        values = np.zeros(g.q, dtype=complex)
+        values[g.units] = Character(g, j).values_on_units()
+        m = max_partial_sum(values)
         assert 0 < m <= g.phi
-
-
-def test_series_family_shapes():
-    pairs = series_family(3, 10 ** 5)
-    assert len(pairs) == 2
-    for closed, series in pairs:
-        assert abs(closed - series["series"]) <= series["tail_bound"] + 1e-9
+        # the series sums this residue table, bit for bit, and j is read mod phi
+        series = l_value_series(g, j, 10**5)
+        n_eff = series["series_truncation"]
+        assert series["series"] == complex(np.dot(values, _harmonic_by_residue(g.q, n_eff)))
+        assert series["tail_bound"] == m / n_eff
+        assert l_value_series(g, j - g.phi, 10**5) == series
 
 
 @pytest.mark.parametrize("b", [3, 5, 7, 13])

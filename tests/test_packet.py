@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collspec import packet
 from collspec.characters import Character, Family
+from collspec.errors import IncompatibleGroups
 from collspec.lvalues import l_value_series
 from collspec.packet import (
     PROBE_FLOOR,
@@ -17,7 +19,8 @@ from collspec.packet import (
     probes,
     stats_from_records,
 )
-from collspec.unit_group import Level, build_unit_group
+from collspec.unit_group import Level, _group_with_root, build_unit_group
+from oracles import conjugate
 
 
 def test_b3_packet_is_empty_sum():
@@ -136,7 +139,9 @@ def cosine_series_delta(chi, l1, terms=10**6):
     g = chi.group
     n_eff = -(-terms // g.q) * g.q
     n = np.arange(1, n_eff + 1)
-    weights = chi.conjugate().values_by_residue()[n % g.q] * np.cos(2 * np.pi * n / g.b)
+    chibar = np.zeros(g.q, dtype=complex)
+    chibar[g.units] = conjugate(chi).values_on_units()
+    weights = chibar[n % g.q] * np.cos(2 * np.pi * n / g.b)
     t_sum = complex(np.sum(weights / n))
     tail = float(np.max(np.abs(np.cumsum(weights[: g.q])))) / n_eff
     return 1j * t_sum + 1j * l1 / (g.b - 1), tail
@@ -148,7 +153,7 @@ def test_imprimitive_l1_matches_series(b):
     recs = imprimitive_records(b)
     assert len(recs) == (b - 1) // 2
     for r in recs:
-        series = l_value_series(Character(g, r["j"]).conjugate(), 10**6)
+        series = l_value_series(g, -r["j"], 10**6)  # conj(chi_j) = chi_{-j}
         assert abs(r["L1"] - series["series"]) <= series["tail_bound"] + 1e-9
 
 
@@ -193,3 +198,12 @@ def test_table_family_b5_row():
     mean_ref, std_ref = TABLE1_TARGETS[5]
     assert abs(st5["mean_ratio"] - mean_ref) < 5e-4
     assert abs(st5["std_ratio"] - std_ref) < 5e-4
+
+
+def test_mod_b_group_with_another_root_is_refused(monkeypatch):
+    # The twists index the mod-b group against the reduced mod-b**2 root; at b = 7
+    # both least roots are 3, and a mod-7 group on the root 5 must be refused.
+    assert build_unit_group(7, Level.MOD_B_SQUARED).g % 7 == build_unit_group(7, Level.MOD_B).g
+    monkeypatch.setattr(packet, "build_unit_group", lambda b, level: _group_with_root(7, 7, 6, 5))
+    with pytest.raises(IncompatibleGroups):
+        packet_records(7)

@@ -10,19 +10,13 @@ import numpy as np
 import pytest
 
 from collspec import spectrum
-from collspec.characters import Character, Family, companion_mod_b, enumerate_family, gauss_sum
+from collspec.characters import Character, Family, gauss_sum
 from collspec.collision import collision_invariant, diagonal_set
 from collspec.errors import WrongModulus
-from collspec.lvalues import l_value_closed
 from collspec.spectrum import (
     DOUBLING_VERIFIED_MAX,
-    _require_primitive_odd,
-    bernoulli_b1,
     centered_square_sum,
-    diagonal_sum,
     dual_transforms,
-    fourier_coefficient,
-    short_partial_sum,
     spectrum_of,
     verify_base5_identities,
     verify_fourth_moment,
@@ -30,6 +24,16 @@ from collspec.spectrum import (
     verify_proof_steps,
 )
 from collspec.unit_group import Level, UnitGroup, build_unit_group
+from oracles import (
+    _require_primitive_odd,
+    bernoulli_b1,
+    conjugate,
+    diagonal_sum,
+    fourier_coefficient,
+    is_primitive_by_subgroup,
+    l_value_closed,
+    short_partial_sum,
+)
 
 SMALL_BASES = (3, 5, 7, 11, 13)
 G9 = build_unit_group(3, Level.MOD_B_SQUARED)
@@ -152,14 +156,14 @@ def test_coefficient_conjugate_symmetry():
     for j in range(1, 6):
         chi = Character(G9, j)
         a = fourier_coefficient(T9, chi)
-        c = fourier_coefficient(T9, chi.conjugate())
+        c = fourier_coefficient(T9, conjugate(chi))
         assert c == pytest.approx(a.conjugate(), abs=1e-14)
 
 
 def test_fourier_inversion_b5():
     g = build_unit_group(5, Level.MOD_B_SQUARED)
     t = collision_invariant(g)
-    chars = enumerate_family(g, Family.ALL)
+    chars = [Character(g, j) for j in range(g.phi)]
     coeffs = {c.index: fourier_coefficient(t, c) for c in chars}
     for a, num in list(zip(t.units.tolist(), t.S0_num.tolist()))[:5]:
         rebuilt = sum(coeffs[c.index] * c.value(a) for c in chars)
@@ -197,7 +201,7 @@ def test_bernoulli_b3_primitive():
 def test_diagonal_sum_hand_b3():
     # G = {0,4,8}: S_G(chi) = sum conj(chi)(n+1) - conj(chi)(n)
     chi = Character(G9, 1)
-    bar = chi.conjugate()
+    bar = conjugate(chi)
     expected = (bar.value(1) - bar.value(0)) + (bar.value(5) - bar.value(4)) + (
         bar.value(9) - bar.value(8)
     )
@@ -207,7 +211,7 @@ def test_diagonal_sum_hand_b3():
 
 def test_short_partial_sum_b3():
     chi = Character(G9, 1)
-    bar = chi.conjugate()
+    bar = conjugate(chi)
     assert short_partial_sum(chi) == pytest.approx(bar.value(1) + bar.value(2))
 
 
@@ -323,24 +327,25 @@ def test_beyond_doubling_range_is_reported_not_gated():
 @pytest.mark.parametrize("b", SMALL_BASES)
 def test_spectrum_arrays_match_direct_sums(b):
     spec = spectrum_of(b)
-    for chi in enumerate_family(spec.group, Family.ALL):
-        j = chi.index
+    _, spec_tau, _ = dual_transforms(spec.group)
+    for j in range(spec.group.phi):
+        chi = Character(spec.group, j)
         b1, tau = bernoulli_b1(chi), gauss_sum(chi)
-        if chi.is_odd and chi.is_primitive():
+        if j % 2 == 1 and j % b != 0:
             l1 = l_value_closed(chi)
         else:
             l1 = 1j * math.pi * tau * b1 / spec.group.q  # the formula, off its domain
         assert abs(spec.s_hat[j] - fourier_coefficient(spec.table, chi)) < 1e-12
         assert abs(spec.B1[j] - b1) < 1e-12
-        assert abs(spec.tau[j] - tau) < 1e-12
+        assert abs(spec_tau[j] - tau) < 1e-12
         assert abs(spec.L1[j] - l1) < 1e-12
         assert abs(spec.S_G[j] - diagonal_sum(chi)) < 1e-12
         assert abs(spec.P_short[j] - short_partial_sum(chi)) < 1e-12
         if j % b == 0:  # from the exact fold of the histogram mod b - 1
             assert spec.S_G[j] == 0
             assert abs(diagonal_sum(chi)) < 1e-14
-        assert spec.odd[j] == chi.is_odd
-        assert spec.primitive[j] == chi.is_primitive()
+        assert spec.odd[j] == (chi.value(-1).real < 0)  # chi(-1) = -1
+        assert spec.primitive[j] == is_primitive_by_subgroup(chi)
 
 
 @pytest.mark.parametrize("b", [31, 59, 61])
@@ -355,19 +360,26 @@ def test_imprimitive_diagonal_sums_are_the_direct_sums(b):
 
 @pytest.mark.parametrize("b", SMALL_BASES)
 def test_companion_transforms_match_direct_sums(b):
-    group = companion_mod_b(spectrum_of(b).group)
+    group = build_unit_group(b, Level.MOD_B)  # packets' mod-b group
+    assert group.g == spectrum_of(b).group.g % b
     b1, tau, l1 = dual_transforms(group)
-    for chi in enumerate_family(group, Family.ALL):
-        j = chi.index
+    for j in range(group.phi):
+        chi = Character(group, j)
         assert abs(b1[j] - bernoulli_b1(chi)) < 1e-12
         assert abs(tau[j] - gauss_sum(chi)) < 1e-12
-        if chi.is_odd:
+        if j % 2 == 1:
             assert abs(l1[j] - l_value_closed(chi)) < 1e-12
 
 
 @pytest.mark.parametrize("b", SMALL_BASES)
 def test_spectrum_families_match_enumeration(b):
+    # the masks against the definitions: chi(-1) = -1, and chi nontrivial on {1 + tb}
     spec = spectrum_of(b)
+    chars = [Character(spec.group, j) for j in range(spec.group.phi)]
+    odd = {chi.index for chi in chars if chi.value(-1).real < 0}
+    primitive = {chi.index for chi in chars if is_primitive_by_subgroup(chi)}
+    expected = {Family.ALL: set(range(spec.group.phi)), Family.ODD: odd,
+                Family.EVEN: set(range(spec.group.phi)) - odd,
+                Family.PRIMITIVE_ODD: odd & primitive, Family.IMPRIMITIVE_ODD: odd - primitive}
     for family in Family:
-        expected = [chi.index for chi in enumerate_family(spec.group, family)]
-        assert spec.indices(family).tolist() == expected
+        assert spec.indices(family).tolist() == sorted(expected[family])

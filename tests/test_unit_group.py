@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from collspec.errors import BaseOutOfRange, LimitTooLarge, NotOddPrime
 from collspec.unit_group import (
+    MAX_BASE,
     Level,
     _group_with_root,
     build_unit_group,
@@ -49,6 +50,17 @@ def test_group_mod_b():
     assert g.q == 7
     assert g.phi == 6
     assert pow(g.g, g.phi, 7) == 1
+
+
+def test_least_root_mod_b_is_a_root_mod_b_squared():
+    # For every accepted base the least primitive root mod b stays primitive
+    # mod b**2 (g**(b-1) != 1 there), so it is also the least root mod b**2
+    # and the mod-b group is built on the reduction of the mod-b**2 root.
+    bases = [b for b in range(3, MAX_BASE + 1) if is_odd_prime(b)]
+    assert len(bases) == 501
+    for b in bases:
+        g = build_unit_group(b, Level.MOD_B).g
+        assert pow(g, b - 1, b * b) != 1, b
 
 
 @pytest.mark.parametrize("bad", [2, 4, 9, 1, 0, -3])
