@@ -152,3 +152,12 @@ def test_lift_and_twist_pointwise():
             tw = Character(gb2, (jc + 3 * jx) % gb2.phi)
             for a in gb2.units:
                 assert tw.value(a) == pytest.approx(xi.value(a % 3) * chi.value(a))
+
+
+def test_lift_principal_is_identity():
+    """The principal xi mod b leaves chi mod b**2 unchanged: index j + b*0 = j."""
+    gb, gb2 = build_unit_group(5, Level.MOD_B), build_unit_group(5, Level.MOD_B_SQUARED)
+    xi0, chi = Character(gb, 0), Character(gb2, 3)
+    assert (chi.index + 5 * xi0.index) % gb2.phi == chi.index
+    for a in gb2.units:
+        assert xi0.value(a % 5) * chi.value(a) == chi.value(a)

@@ -97,6 +97,16 @@ def test_series_memory_is_linear_in_q():
     assert peak < 16 * 2**20
 
 
+def test_series_family_shapes():
+    spec = spectrum_of(3)
+    indices = spec.indices(Family.PRIMITIVE_ODD).tolist()
+    assert len(indices) == 2
+    for j in indices:
+        closed = l_value_closed(Character(spec.group, j))
+        series = l_value_series(spec.group, j, 10 ** 5)
+        assert abs(closed - series["series"]) <= series["tail_bound"] + 1e-9
+
+
 def test_max_partial_sum_bounds():
     g = build_unit_group(5, Level.MOD_B_SQUARED)
     for j in (1, 3, 7):
