@@ -28,17 +28,10 @@ from .errors import WrongModulus
 from .unit_group import UnitGroup
 
 
-@dataclass(frozen=True)
-class DiagonalSet:
-    """Residues mod b**2 whose quotient and remainder base b agree."""
-
-    b: int
-    members: tuple[int, ...]
-
-
-def diagonal_set(b: int) -> DiagonalSet:
-    """Closed form {r*(b+1) : 0 <= r < b}."""
-    return DiagonalSet(b=b, members=tuple(r * (b + 1) for r in range(b)))
+def diagonal_set(b: int) -> tuple[int, ...]:
+    """The residues mod b**2 whose quotient and remainder base b agree, by the
+    closed form {r*(b+1) : 0 <= r < b}."""
+    return tuple(r * (b + 1) for r in range(b))
 
 
 def coset_sums(b: int, units: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -45,8 +45,9 @@ from .spectrum import dual_transforms, magnitudes, spectrum_of
 from .unit_group import Level, build_unit_group
 
 
-def _packet_records(b: int, js: np.ndarray) -> dict[str, np.ndarray]:
-    """Records for the odd chi_j mod b**2, j in js, gathered from the arrays.
+def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict[str, np.ndarray]:
+    """Records for the primitive odd or all odd chi_j mod b**2, ascending j,
+    gathered from the arrays.
 
     Columns: j; P_short; L1 = L(1, conj chi); delta; ratio = |delta|/|L1|;
     phase_cos = cos(arg delta - arg L1); twist_count, always (b-3)/2.
@@ -55,7 +56,10 @@ def _packet_records(b: int, js: np.ndarray) -> dict[str, np.ndarray]:
     imprimitive j = b*k0 it is induced by chi_{(k - k0) mod (b-1)} mod b,
     and conj(chi_j) by chi_{-k0}.
     """
+    if family not in (Family.PRIMITIVE_ODD, Family.ODD):
+        raise ValueError(f"packet families are primitive-odd and odd, not {family.value}")
     spec = spectrum_of(b)
+    js = spec.indices(family)
     phi, phi_b = spec.group.phi, b - 1
     mod_b = build_unit_group(b, Level.MOD_B)
     if mod_b.g != spec.group.g % b:
@@ -77,14 +81,6 @@ def _packet_records(b: int, js: np.ndarray) -> dict[str, np.ndarray]:
     return {"j": js, "P_short": spec.P_short[js], "L1": l1, "delta": delta,
             "ratio": magnitudes(delta) / magnitudes(l1), "phase_cos": np.array(phase_cos),
             "twist_count": np.full(len(js), len(twists))}
-
-
-def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict[str, np.ndarray]:
-    """Columns j, P_short, L1, delta, ratio, phase_cos, twist_count over the
-    primitive odd or all odd chi_j mod b**2, ascending j (see _packet_records)."""
-    if family not in (Family.PRIMITIVE_ODD, Family.ODD):
-        raise ValueError(f"packet families are primitive-odd and odd, not {family.value}")
-    return _packet_records(b, spectrum_of(b).indices(family))
 
 
 def stats_from_records(b: int, records: dict[str, np.ndarray]) -> dict:

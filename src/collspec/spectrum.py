@@ -44,11 +44,15 @@ chi at once, each ingredient a transform held against its closed form:
   * the endpoint slices n = 0 and n = m-1 contribute nothing,
   * and in total sum_a S(a) * conj(chi(a)) = -B1 * conj(S_G).
 
-The lemma is checked for every unit n, not by that substitution: each
-row {n*a/m} is transformed from its own exact integers n*a mod m.  The
-worst step residual at b = 31 is 4.8e-13, the floor step (the lemma's
-is 2.8e-14); every step agrees with the per-character direct sums
-within 5.0e-13 there.
+The lemma is checked for every unit n at once: an exact int64
+certificate shows that the table of g**t mod m obeys powers[0] = 1 and
+powers[t + 1] = g * powers[t] mod m cyclically, so row n, {n*a/m} along
+a = g**t, is row 1 rolled by dlog n, and its transform is chi(n) times
+row 1's (the shift theorem).  Row 1, a/m, is transformed once against
+B1; a failed certificate makes every lemma residual inf.  The worst
+step residual at b = 31 is 4.8e-13, the floor step (the lemma's is
+1.3e-14); every step agrees with the per-character direct sums within
+5.0e-13 there.
 
 Even characters and imprimitive odd characters are annihilated: the
 first by coset constancy against a mean-zero table, the second because
@@ -145,7 +149,7 @@ def spectrum_of(b: int) -> Spectrum:
     table = collision_invariant(group)
     phi, j = group.phi, np.arange(group.phi)
     # S_G and P_short first: after dual_transforms they would raise the peak.
-    members = np.array(diagonal_set(b).members)
+    members = np.array(diagonal_set(b))
     h = _term_histogram(group, members + 1, members)
     fold = h.real.reshape(b, b - 1).sum(axis=0)  # by t mod b - 1: exact integer sums
     s_g = np.fft.fft(h, out=h)
@@ -162,12 +166,6 @@ def spectrum_of(b: int) -> Spectrum:
 
 
 # ====== the proof steps, for every primitive odd chi at once ======
-
-
-# Entries of {n*a/m} the lemma transforms at a time, LEMMA_BLOCK // phi rows:
-# 16 MB of float64, and 32 MB as their FFT, while phi <= 2**21; one row a
-# block above that.
-LEMMA_BLOCK = 1 << 21
 
 
 def magnitudes(z: np.ndarray) -> np.ndarray:
@@ -188,26 +186,22 @@ def verify_proof_steps(b: int) -> dict[str, np.ndarray]:
     def transform(values: np.ndarray) -> np.ndarray:  # sum_a values(a) conj(chi_j(a))
         return np.fft.fft(_by_dlog(group, values.astype(float)))[js]
 
-    def chi(n):  # chi_j(n) for units n, an int or a column of them
+    def chi(n: int) -> np.ndarray:  # chi_j(n) for a unit n
         return roots[group.dlog[n] * js % phi]
 
     slice_worst = np.zeros(len(js))
-    for n in diagonal_set(b).members:
+    for n in diagonal_set(b):
         if 0 < n < m - 1:  # interior, so n and n + 1 are units; the endpoint slices follow
             d_n = (n + 1) * units // m - n * units // m
             rhs = (1 + chi(n) - chi(n + 1)) * b1
             slice_worst = np.maximum(slice_worst, magnitudes(transform(d_n) - rhs))
 
-    # The lemma for every unit n: one FFT per row {n*a/m} along a = g**t, each row
-    # from its own exact integers n*a mod m (not shifted from another row).
+    # The lemma's certificate (module docstring); g*powers < m**2 < 2**63.
     powers = _by_dlog(group, units)
-    step = max(1, LEMMA_BLOCK // phi)
-    lemma = np.zeros(len(js))
-    for r in range(0, phi, step):
-        rows = units[r : r + step, None]
-        frac = rows * powers % m / m  # n*a < m**2 < 2**63
-        gap = magnitudes(np.fft.fft(frac)[:, js] - chi(rows) * b1)
-        lemma = np.maximum(lemma, gap.max(axis=0))
+    if powers[0] == 1 and np.array_equal(group.g * powers % m, np.roll(powers, -1)):
+        lemma = magnitudes(transform(units / m) - b1)
+    else:
+        lemma = np.full(len(js), np.inf)
 
     return {
         "b": np.full(len(js), b),

@@ -42,7 +42,7 @@ def diagonal_sum(chi: Character) -> complex:
     """S_G(chi) = sum_{n in G} [conj(chi)(n+1) - conj(chi)(n)]."""
     chibar = conjugate(chi)
     total = 0j
-    for n in diagonal_set(chi.group.b).members:
+    for n in diagonal_set(chi.group.b):
         total += chibar.value(n + 1) - chibar.value(n)
     return total
 

@@ -197,7 +197,7 @@ def test_criterion_11_exact_structure():
         for a, num in s0.items():
             if s0[m - a] != -num:
                 ok = False
-        if len(diagonal_set(b).members) != b:
+        if len(diagonal_set(b)) != b:
             ok = False
     report(11, "exact rational structure", ok, f"b up to {PRIMES_TO_97[-1]}")
     assert ok

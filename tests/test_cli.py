@@ -334,9 +334,9 @@ def test_broken_l_value_fails_classnumber(capsys, monkeypatch):
 
 def test_broken_diagonal_set_fails_decompose(capsys, monkeypatch):
     def moved(b):  # the member 1*(b+1) moved by 1
-        members = list(collision.diagonal_set(b).members)
+        members = list(collision.diagonal_set(b))
         members[1] += 1
-        return collision.DiagonalSet(b=b, members=tuple(members))
+        return tuple(members)
 
     monkeypatch.setattr(spectrum, "diagonal_set", moved)
     # S_G no longer matches s_hat, and its fold mod b - 1 is no longer 0

@@ -2,14 +2,14 @@
 factorization, its proof steps, and the moment identity."""
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from collspec import spectrum
+from collspec import cli, spectrum
 from collspec.characters import Character, Family, gauss_sum
 from collspec.collision import collision_invariant, diagonal_set
 from collspec.errors import WrongModulus
@@ -105,7 +105,7 @@ def per_character_proof_steps(b: int, chi: Character) -> ProofStepReport:
     lemma = float(np.max(np.abs(lemma_vec - chi_vals * b1)))
 
     # Interior diagonal slices; endpoints handled separately below.
-    diag = diagonal_set(b).members
+    diag = diagonal_set(b)
     slice_worst = 0.0
     for n in diag:
         if n == 0 or n == m - 1:
@@ -245,7 +245,7 @@ def test_proof_steps(b):
     assert not steps["endpoint_bottom"].any()  # d_0 is identically zero
 
 
-@pytest.mark.parametrize("b", [5, 7, 11, 13])
+@pytest.mark.parametrize("b", [5, 7, 11, 13, 31])
 def test_proof_steps_match_per_character_oracle(b):
     steps = verify_proof_steps(b)
     group = spectrum_of(b).group
@@ -255,13 +255,17 @@ def test_proof_steps_match_per_character_oracle(b):
             assert abs(steps[name][row] - getattr(rep, f"{name}_residual")) < 1e-12, (j, name)
 
 
-def test_lemma_blocks_agree_with_one_block(monkeypatch):
-    # Blocks of 5 rows leave a partial last block (phi = 42 units at b = 7); a
-    # misaligned block would put an error of order |B1| into some character.
-    whole = verify_proof_steps(7)["lemma"]
-    monkeypatch.setattr(spectrum, "LEMMA_BLOCK", 5 * 42)
-    blocked = verify_proof_steps(7)["lemma"]
-    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-13)
+def test_broken_dlog_fails_the_lemma_certificate(monkeypatch, capsys):
+    # Two dlog entries swapped: the table by dlog is no longer g**t mod m, so the
+    # rows of the lemma are not row 1 rolled, and every lemma cell fails.
+    spec = spectrum_of(13)
+    dlog = spec.group.dlog.copy()
+    dlog[[2, 3]] = dlog[[3, 2]]
+    broken = replace(spec, group=replace(spec.group, dlog=dlog))
+    monkeypatch.setattr(spectrum, "spectrum_of", lambda b: broken)
+    assert np.isinf(verify_proof_steps(13)["lemma"]).all()
+    assert cli.main(["verify", "steps", "--base", "13"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
 
 
 def test_moment_b3_exact_target():
