@@ -52,7 +52,8 @@ def roots_of_unity(phi: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _unit_phases(group: UnitGroup) -> np.ndarray:
-    """Additive twist e(a/q) over ascending units; used by Gauss sums."""
+    """Additive twist e(a/q) over ascending units: the input of Gauss sums and of
+    tau in spectrum.dual_transforms (every spectrum, every packet's mod-b side)."""
     w = np.exp((2j * np.pi / group.q) * group.units)
     w.flags.writeable = False
     return w

@@ -16,7 +16,8 @@ fixed order, so a rerun reproduces the report byte for byte.
 
 Tolerances derive from t = --tol (default 1e-10): t/10 for vanishing
 coefficients, t/100 for vanishing diagonal sums, 10*t for the relative
-errors of moment and expansion checks; the decay table has a fixed band
+errors of moment and expansion checks and for the lvalue-series gap
+(|L - series| beyond its tail bound); the decay table has a fixed band
 of 0.05.  The class-number verdict holds sqrt(b)|L|/pi within 1e-6 of
 the reduced-forms count.
 """

@@ -38,9 +38,9 @@ chi at once, each ingredient a transform held against its closed form:
     coset (every coset {a = k mod b} sums conj(chi) to zero when chi is
     primitive),
   * the floor term contributes exactly -b * B1,
+  * the lemma: sum_a conj(chi(a)) * {n*a/m} = chi(n) * B1 for every
+    unit n (substitute a -> n^{-1} a, which permutes the units),
   * each interior diagonal slice contributes [1 + chi(n) - chi(n+1)]*B1,
-    via sum_a conj(chi(a)) * {n*a/m} = chi(n) * B1 (substitute
-    a -> n^{-1} a, which permutes the units),
   * the endpoint slices n = 0 and n = m-1 contribute nothing,
   * and in total sum_a S(a) * conj(chi(a)) = -B1 * conj(S_G).
 
@@ -49,9 +49,13 @@ certificate shows that the table of g**t mod m obeys powers[0] = 1 and
 powers[t + 1] = g * powers[t] mod m cyclically, so row n, {n*a/m} along
 a = g**t, is row 1 rolled by dlog n, and its transform is chi(n) times
 row 1's (the shift theorem).  Row 1, a/m, is transformed once against
-B1; a failed certificate makes every lemma residual inf.  The worst
-step residual at b = 31 is 4.8e-13, the floor step (the lemma's is
-1.3e-14); every step agrees with the per-character direct sums within
+B1.  The slices need no transform of their own: by the floor identity
+d_n(a) = a/m + {n*a/m} - {(n+1)*a/m}, d_n's transform is exactly
+[1 + chi(n) - chi(n+1)], at most 3 in modulus, times row 1's, so the
+slice residual is 3 * lemma; a failed certificate makes both inf.  The
+steps take seven length-phi transforms whatever b is.  At b = 31 the
+worst step residual is 4.8e-13, the floor step (lemma 1.3e-14, slice
+3.9e-14); every step agrees with the per-character direct sums within
 5.0e-13 there.
 
 Even characters and imprimitive odd characters are annihilated: the
@@ -67,7 +71,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import Family, _unit_phases, family_mask, roots_of_unity
+from .characters import Family, _unit_phases, family_mask
 from .collision import CollisionTable, collision_invariant, diagonal_set
 from .unit_group import Level, UnitGroup, build_unit_group
 
@@ -181,20 +185,10 @@ def verify_proof_steps(b: int) -> dict[str, np.ndarray]:
     group, table = spec.group, spec.table
     m, phi, units = group.q, group.phi, group.units
     js = spec.indices(Family.PRIMITIVE_ODD)
-    b1, roots = spec.B1[js], roots_of_unity(phi)
+    b1 = spec.B1[js]
 
     def transform(values: np.ndarray) -> np.ndarray:  # sum_a values(a) conj(chi_j(a))
         return np.fft.fft(_by_dlog(group, values.astype(float)))[js]
-
-    def chi(n: int) -> np.ndarray:  # chi_j(n) for a unit n
-        return roots[group.dlog[n] * js % phi]
-
-    slice_worst = np.zeros(len(js))
-    for n in diagonal_set(b):
-        if 0 < n < m - 1:  # interior, so n and n + 1 are units; the endpoint slices follow
-            d_n = (n + 1) * units // m - n * units // m
-            rhs = (1 + chi(n) - chi(n + 1)) * b1
-            slice_worst = np.maximum(slice_worst, magnitudes(transform(d_n) - rhs))
 
     # The lemma's certificate (module docstring); g*powers < m**2 < 2**63.
     powers = _by_dlog(group, units)
@@ -211,7 +205,7 @@ def verify_proof_steps(b: int) -> dict[str, np.ndarray]:
         "fractional": magnitudes(transform(units % b / b)),
         "floor": magnitudes(transform(units // b) - b * b1),
         "lemma": lemma,
-        "slice": slice_worst,
+        "slice": 3 * lemma,  # d_n = a/m + row n - row n+1 (module docstring)
         "endpoint_bottom": np.full(len(js), float(np.max(units // m))),
         "endpoint_top": magnitudes(transform(m * units // m - (m - 1) * units // m)),
         "total": magnitudes(transform(table.S) + b1 * np.conj(spec.S_G[js])),

@@ -243,6 +243,8 @@ def test_proof_steps(b):
     assert steps["j"].tolist() == spectrum_of(b).indices(Family.PRIMITIVE_ODD).tolist()
     assert max(steps[name].max() for name in STEP_NAMES) < 1e-12
     assert not steps["endpoint_bottom"].any()  # d_0 is identically zero
+    # on the units d_{m-1} is identically 1, so its transform is the constant one's
+    assert steps["endpoint_top"].tolist() == steps["constant"].tolist()
 
 
 @pytest.mark.parametrize("b", [5, 7, 11, 13, 31])
@@ -255,15 +257,28 @@ def test_proof_steps_match_per_character_oracle(b):
             assert abs(steps[name][row] - getattr(rep, f"{name}_residual")) < 1e-12, (j, name)
 
 
+@pytest.mark.parametrize("b", [5, 13, 31])
+def test_proof_steps_take_seven_transforms(monkeypatch, b):
+    # the slices come from the lemma's transform: no transform per diagonal slice
+    spectrum_of(b)
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append(1) or fft(*args, **kw))
+    verify_proof_steps(b)
+    assert len(calls) == 7
+
+
 def test_broken_dlog_fails_the_lemma_certificate(monkeypatch, capsys):
     # Two dlog entries swapped: the table by dlog is no longer g**t mod m, so the
-    # rows of the lemma are not row 1 rolled, and every lemma cell fails.
+    # rows of the lemma are not row 1 rolled, and every lemma and slice cell fails.
     spec = spectrum_of(13)
     dlog = spec.group.dlog.copy()
     dlog[[2, 3]] = dlog[[3, 2]]
     broken = replace(spec, group=replace(spec.group, dlog=dlog))
     monkeypatch.setattr(spectrum, "spectrum_of", lambda b: broken)
-    assert np.isinf(verify_proof_steps(13)["lemma"]).all()
+    steps = verify_proof_steps(13)
+    assert np.isinf(steps["lemma"]).all()
+    assert np.isinf(steps["slice"]).all()
     assert cli.main(["verify", "steps", "--base", "13"]) == 1
     assert '"passed": false' in capsys.readouterr().out
 
