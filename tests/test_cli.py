@@ -184,10 +184,10 @@ def test_failing_check_exits_1(capsys):
     assert doc["passed"] is False
 
 
-def test_doubling_is_gated_up_to_its_verified_range(capsys):
+def test_doubling_is_gated_at_every_base(capsys):
     _, out, _ = run_main(capsys, "verify", "base5", "--bases", "13,17")
     names = [v["check"] for v in json.loads(out)["verdicts"]]
-    assert names == ["short-sum-doubling[b=13]", "short-sum-measured[b=17]"]
+    assert names == ["short-sum-doubling[b=13]", "short-sum-doubling[b=17]"]
 
 
 def test_table1_known_good_base(capsys):
@@ -568,7 +568,7 @@ GOLDEN_CASES = [
     (("verify", "moment", "--bases", "3,5,7"), 0),
     (("verify", "encoding", "--base", "7"), 0),
     (("verify", "base5", "--bases", "5,7"), 0),
-    (("verify", "base5", "--base", "17"), 0),  # short-sum-measured
+    (("verify", "base5", "--base", "17"), 0),  # short-sum-doubling above b = 13
     (("table1", "--bases", "5,7,11"), 1),  # red, passing and measured rows
     (("packet", "--base", "5"), 0),
     (("lvalue", "--base", "5"), 0),

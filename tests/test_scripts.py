@@ -19,7 +19,6 @@ def load(name):
     "name,argv,marker",
     [
         ("probe_normalization", ["--bases", "5"], "--- b = 5"),
-        ("short_sum_scan", ["--max-base", "13"], "verified range"),
         ("table1_experiment", [], "the table's family"),
     ],
 )

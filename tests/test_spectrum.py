@@ -14,8 +14,8 @@ from collspec.characters import Character, Family, gauss_sum
 from collspec.collision import collision_invariant, diagonal_set
 from collspec.errors import WrongModulus
 from collspec.spectrum import (
-    DOUBLING_VERIFIED_MAX,
     centered_square_sum,
+    doubling_certificate,
     dual_transforms,
     spectrum_of,
     verify_base5_identities,
@@ -23,7 +23,7 @@ from collspec.spectrum import (
     verify_moment,
     verify_proof_steps,
 )
-from collspec.unit_group import Level, UnitGroup, build_unit_group
+from collspec.unit_group import Level, UnitGroup, build_unit_group, sieve_primes
 from oracles import (
     _require_primitive_odd,
     bernoulli_b1,
@@ -304,9 +304,8 @@ def test_centered_square_sum_b3():
     assert centered_square_sum(T9) == 48  # 16/3 over the denominator b^2 = 9
 
 
-@pytest.mark.parametrize("b", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("b", [3, 5, 7, 11, 13, 17, 97])
 def test_short_sum_doubling(b):
-    assert b <= DOUBLING_VERIFIED_MAX
     columns = verify_base5_identities(b)
     assert columns["doubling_residual"].max() < 1e-12
     # np.hypot is Python's abs(complex) bit for bit, so the columns equal
@@ -333,11 +332,49 @@ def test_base5_extras():
     )
 
 
-def test_beyond_doubling_range_is_reported_not_gated():
-    assert DOUBLING_VERIFIED_MAX == 13
-    columns = verify_base5_identities(17)
+def test_broken_dlog_fails_the_doubling_certificate(monkeypatch, capsys):
+    # The dlogs of 2 (a term of P) and 14 = 1 + b (a term of S_G) swapped: the
+    # diagonal histogram is no longer P's rolled, so every doubling cell fails.
+    # A swap inside P's terms, as [2, 3], would leave the certificate true.
+    spec = spectrum_of(13)
+    dlog = spec.group.dlog.copy()
+    dlog[[2, 14]] = dlog[[14, 2]]
+    broken = replace(spec, group=replace(spec.group, dlog=dlog))
+    monkeypatch.setattr(spectrum, "spectrum_of", lambda b: broken)
+    columns = verify_base5_identities(13)
     assert list(columns) == ["b", "j", "S_G_abs", "P_short_abs", "doubling_residual"]
-    assert len(columns["j"]) == (17 - 1) ** 2 // 2
+    assert np.isinf(columns["doubling_residual"]).all()
+    assert cli.main(["verify", "base5", "--base", "13"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
+
+
+def test_doubling_certificate_at_every_odd_prime_below_1000():
+    # The certificate holds at every base, and P's histogram rolled one step too
+    # far fails it at every base.
+    for b in sieve_primes(1000).primes[1:].tolist():
+        group = build_unit_group(b)
+        assert doubling_certificate(group), b
+        members = np.array(diagonal_set(b))
+        h = spectrum._term_histogram(group, members + 1, members)
+        p = spectrum._term_histogram(group, np.arange(1, b))
+        d = int(group.dlog[1 + b]) + 1
+        shifted = np.roll(p, d + group.phi // 2) - np.roll(p, d)
+        assert not np.array_equal(h, shifted), b
+
+
+@pytest.mark.parametrize("b", [5, 13, 97])
+def test_factorization_in_the_theorems_form(b):
+    # With S_G = -2 conj(chi)(1+b) P on odd chi, s0_hat = 2 chi(1+b) B1 conj(P) / phi,
+    # where chi_j(1+b) = e(j d / phi), d = dlog(1+b).
+    spec = spectrum_of(b)
+    phi, js = spec.group.phi, spec.indices(Family.PRIMITIVE_ODD)
+    d = int(spec.group.dlog[1 + b])
+    chi_1b = np.exp(2j * np.pi * (js * d % phi) / phi)
+    b1, p_short = spec.B1[js], spec.P_short[js]
+    assert np.abs(spec.s_hat[js] - 2 * chi_1b * b1 * np.conj(p_short) / phi).max() < 1e-14
+    if b == 5:
+        # |P| = (sqrt5/2)|B1| turns it into |s0_hat| = sqrt5 |B1|^2 / phi: |S0_hat| ~ |L(1)|^2
+        assert np.abs(np.abs(spec.s_hat[js]) - math.sqrt(5) * np.abs(b1) ** 2 / phi).max() < 1e-14
 
 
 # ====== the Spectrum arrays against the per-character direct sums ======
