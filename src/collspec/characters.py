@@ -15,10 +15,11 @@ The root-of-unity table e(k/phi) is evaluated trigonometrically once
 per phi, so every character value is a table lookup accurate to a few
 ulp; no value is produced by iterated multiplication.
 
-The library works on arrays over j.  Character, its value table
-_values_on_units and gauss_sum evaluate one chi_j at a time; no command
-calls them, and they stay only because the benchmark's tracer
-(perfbench/traced.py) hooks them by name.
+The library works on arrays over j and computes no Gauss sum: L(1, chi)
+comes from the cotangent formula (spectrum.odd_l_values).  Character,
+its value table _values_on_units and gauss_sum evaluate one chi_j at a
+time; no command calls them, and they stay only because the benchmark's
+tracer (perfbench/traced.py) hooks them by name.
 """
 
 from __future__ import annotations
@@ -46,15 +47,6 @@ class Family(enum.Enum):
 def roots_of_unity(phi: int) -> np.ndarray:
     """e(k/phi) for k = 0..phi-1, each evaluated directly by exp."""
     w = np.exp((2j * np.pi / phi) * np.arange(phi))
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=None)
-def _unit_phases(group: UnitGroup) -> np.ndarray:
-    """Additive twist e(a/q) over ascending units: the input of Gauss sums and of
-    tau in spectrum.dual_transforms (every spectrum, every packet's mod-b side)."""
-    w = np.exp((2j * np.pi / group.q) * group.units)
     w.flags.writeable = False
     return w
 
@@ -107,4 +99,5 @@ def gauss_sum(chi: Character) -> complex:
     No primitivity shortcut: imprimitive inputs are summed like any
     other, which is what lets tests observe |tau| = 0 for them.
     """
-    return complex(np.dot(chi.values_on_units(), _unit_phases(chi.group)))
+    g = chi.group
+    return complex(np.dot(chi.values_on_units(), np.exp((2j * np.pi / g.q) * g.units)))

@@ -19,7 +19,9 @@ coefficients, t/100 for vanishing diagonal sums, 10*t for the relative
 errors of moment and expansion checks and for the lvalue-series gap
 (|L - series| beyond its tail bound); the decay table has a fixed band
 of 0.05.  The class-number verdict holds sqrt(b)|L|/pi within 1e-6 of
-the reduced-forms count.
+the reduced-forms count.  The lvalue-magnitude verdict holds |B1| to
+(b/pi)|L(1)| on the primitive odd family: two independent transforms,
+B1 of the units and L(1) by the cotangent formula.
 """
 
 from __future__ import annotations

@@ -17,10 +17,6 @@ class WrongModulus(VerificationError):
     """Operation called with a character or group of the wrong modulus."""
 
 
-class IncompatibleGroups(VerificationError):
-    """The two primitive roots are not reductions of one another."""
-
-
 class NotPrimitiveOdd(VerificationError):
     """A primitive odd character is required here."""
 

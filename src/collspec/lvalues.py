@@ -1,13 +1,13 @@
-"""Special values L(1, chi) for odd primitive Dirichlet characters.
+"""Special values L(1, chi) for odd Dirichlet characters.
 
-Closed form (odd primitive chi mod q):
-
-    L(1, chi) = i * pi * tau(chi) * B1(conj chi) / q,
-
-so with |tau(chi)| = sqrt(q) the magnitudes obey
-|B1| = (sqrt(q)/pi) * |L(1, chi)|; on modulus b**2 that reads
-|B1| = (b/pi) * |L|.  The independent oracle is the truncated series
-of chi_j, named by its dual index j,
+The library takes L(1, chi) = (pi/2q) sum_{0<a<q} chi(a) cot(pi a/q),
+the cotangent formula for odd chi mod q, primitive or induced, for every
+chi at once (spectrum.odd_l_values).  For odd primitive chi the closed
+form L(1, chi) = i pi tau(chi) B1(conj chi)/q with |tau(chi)| = sqrt(q)
+gives |B1| = (sqrt(q)/pi) |L(1, chi)|, on modulus b**2 |B1| = (b/pi) |L|:
+lvalue-magnitude checks it between the independent transforms B1 and L1.
+The independent oracle is the truncated series of chi_j, named by its
+dual index j,
 
     sum_{n <= N} chi_j(n) / n,
 
@@ -18,7 +18,7 @@ verification consumes it.
 
 For a prime b = 3 (mod 4), b > 3, the Legendre character mod b is odd
 with fundamental discriminant D = -b and |L(1, chi_D)| = pi*h(D)/sqrt(b)
-ties the closed form to the class number h(D).  h is recomputed
+ties the cotangent transform mod b to the class number h(D).  h is recomputed
 independently by counting reduced primitive binary quadratic forms
 (a, b', c) of discriminant D: b'^2 - 4ac = D, |b'| <= a <= c, and
 b' >= 0 whenever |b'| = a or a = c.
@@ -138,7 +138,7 @@ def class_number_check(b: int) -> dict:
     if not is_odd_prime(b) or b % 4 != 3 or b <= 3:
         raise BadDiscriminant(f"need a prime b = 3 (mod 4), b > 3; got {b}")
     # The Legendre symbol is chi_{(b-1)/2} mod b, odd since b = 3 (mod 4).
-    _, _, l1 = dual_transforms(build_unit_group(b, Level.MOD_B))
+    _, l1 = dual_transforms(build_unit_group(b, Level.MOD_B))
     l_val = complex(l1[(b - 1) // 2])
     raw = math.sqrt(b) * abs(l_val) / math.pi
     return {"b": b, "D": -b, "h_from_L": round(raw), "h_from_forms": len(reduced_forms(-b)),

@@ -7,19 +7,18 @@ For odd chi mod b**2 the packet
 
 collects the (b-3)/2 twisted special values that separate the
 Gauss-sum-normalized short sum P(chi) = sum_{k < b} conj(chi)(k) from
-L(1, conj chi).  For primitive chi every twist xi * conj(chi) is again
-primitive odd mod b**2 (the lift of xi shifts the index by a multiple
-of b without changing parity), so the closed form applies term by term.
+L(1, conj chi).  Orthogonality of the even characters mod b gives
+sum_{xi even, xi != xi_0} tau(conj xi) xi(n) = (b-1) cos(2 pi n/b) + 1
+for n prime to b, so with the even kernel K(n) = cos(2 pi n/b) + 1/(b-1)
 
-An imprimitive odd chi = chi_{b*k} mod b**2 is induced by the odd
-character chi_k mod b, indexed against the reduction of the mod-b**2
-root.  That is the least primitive root mod b, the root the mod-b group
-is built on: for every odd prime b <= MAX_BASE the least root mod b is
-a primitive root mod b**2, hence also the least one there (a guard
-refuses any other pairing).  chi_k vanishes at b, so L(1, chi) equals
-its L-value, and each twist xi * conj(chi) is induced by the odd, hence
-primitive, character xi * conj(chi_k) mod b.  Those imprimitive records
-take every L-value in closed form mod b.
+    Delta(chi) = i * sum_{n>=1} K(n) conj(chi)(n) / n,
+
+which is spectrum.odd_l_values with the weight K: one length-phi
+transform for every odd chi, primitive or induced, with no twist and no
+Gauss sum.  The cos argument is folded to n mod b <= b/2, and K is
+centered numerically (its mean over 1..b-1 is -1/(b-1)), so at b = 3,
+which has no even nontrivial twist, K and the packets are exactly 0.
+The twist sum itself is the tests' oracle (tests/oracles.py).
 
 packet_stats aggregates |Delta|/|L| and the phase gap over a family:
 the (b-1)^2/2 primitive odd characters by default, or all b(b-1)/2 odd
@@ -40,9 +39,8 @@ import math
 import numpy as np
 
 from .characters import Family
-from .errors import BaseOutOfRange, IncompatibleGroups
-from .spectrum import dual_transforms, magnitudes, spectrum_of
-from .unit_group import Level, build_unit_group
+from .errors import BaseOutOfRange
+from .spectrum import magnitudes, odd_l_values, spectrum_of
 
 
 def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict[str, np.ndarray]:
@@ -52,35 +50,25 @@ def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict[str, n
     Columns: j; P_short; L1 = L(1, conj chi); delta; ratio = |delta|/|L1|;
     phase_cos = cos(arg delta - arg L1); twist_count, always (b-3)/2.
 
-    The twist of conj(chi_j) by xi_k mod b is chi_{(b*k - j) mod phi}; for
-    imprimitive j = b*k0 it is induced by chi_{(k - k0) mod (b-1)} mod b,
-    and conj(chi_j) by chi_{-k0}.
+    conj(chi_j) = chi_{-j}, so L1 is the spectrum's L1[-j], and delta is
+    i * odd_l_values(group, K)[-j] with the kernel K of the module docstring.
     """
     if family not in (Family.PRIMITIVE_ODD, Family.ODD):
         raise ValueError(f"packet families are primitive-odd and odd, not {family.value}")
     spec = spectrum_of(b)
-    js = spec.indices(family)
-    phi, phi_b = spec.group.phi, b - 1
-    mod_b = build_unit_group(b, Level.MOD_B)
-    if mod_b.g != spec.group.g % b:
-        raise IncompatibleGroups(
-            f"root {spec.group.g} mod {b * b} does not reduce to the root {mod_b.g} mod {b}")
-    _, tau_b, l1_b = dual_transforms(mod_b)
-    primitive = spec.primitive[js]
-    k0 = js // b
-    l1 = np.where(primitive, spec.L1[-js % phi], l1_b[-k0 % phi_b])
-    twists = range(2, b - 1, 2)  # the even nontrivial xi_k mod b
-    total = np.zeros(len(js), dtype=complex)
-    for k in twists:
-        twisted = np.where(primitive, spec.L1[(b * k - js) % phi], l1_b[(k - k0) % phi_b])
-        total += tau_b[-k % phi_b] * twisted
-    delta = 1j / (b - 1) * total
+    group, js = spec.group, spec.indices(family)
+    conj_js = -js % group.phi
+    r = np.arange(1, b)
+    cos = np.cos(2 * np.pi / b * np.minimum(r, b - r))
+    kernel = np.concatenate(([0.0], cos - cos.mean()))  # by residue mod b
+    l1 = spec.L1[conj_js]
+    delta = 1j * odd_l_values(group, kernel[group.units % b])[conj_js]
     # Per cell in Python: np.cos(np.arctan2(...)) rounds differently.
     phase_cos = [math.cos(cmath.phase(d) - cmath.phase(l))
                  for d, l in zip(delta.tolist(), l1.tolist())]
     return {"j": js, "P_short": spec.P_short[js], "L1": l1, "delta": delta,
             "ratio": magnitudes(delta) / magnitudes(l1), "phase_cos": np.array(phase_cos),
-            "twist_count": np.full(len(js), len(twists))}
+            "twist_count": np.full(len(js), (b - 3) // 2)}
 
 
 def stats_from_records(b: int, records: dict[str, np.ndarray]) -> dict:

@@ -18,8 +18,11 @@ is the diagonal character sum.
 
 Every character sum here, sum_a f(a) * conj(chi_j(a)) for all j at once,
 is one FFT of f along the discrete-log axis a = g**t (float64, numpy's
-pocketfft), since conj(chi_j)(g**t) = e(-jt/phi): s0_hat, B1, tau, and
-S_G and P_short from their terms' histograms over t.  S_G's b - 1
+pocketfft), since conj(chi_j)(g**t) = e(-jt/phi): s0_hat, B1, and S_G
+and P_short from their terms' histograms over t.  So is L(1, chi_j) on
+every odd chi_j, primitive or induced, with no Gauss sum, by the
+cotangent formula sum_{n>=1} f(n)/n = (pi/2q) sum_{0<a<q} f(a) cot(pi a/q)
+for odd q-periodic f (odd_l_values).  S_G's b - 1
 entries j = b*k come from the histogram folded mod b - 1 instead, since
 chi_{b*k}(g**t) = e(kt/(b-1)) depends on t mod b - 1 only.  That fold
 counts the diagonal terms by unit residue mod b, and each one is hit
@@ -89,7 +92,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import Family, _unit_phases, family_mask
+from .characters import Family, family_mask
 from .collision import CollisionTable, collision_invariant, diagonal_set
 from .unit_group import Level, UnitGroup, build_unit_group
 
@@ -104,18 +107,29 @@ def _by_dlog(group: UnitGroup, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def dual_transforms(group: UnitGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B1, tau, L1) for every chi_j of group, indexed by j.
-
-    With a = g**t, chi_j(a) = e(jt/phi), so each family is one length-phi
-    transform along t: B1 = fft(g**t)/q, tau = phi*ifft(e(g**t/q)) and
-    L1 = i*pi*tau*B1/q.  L1 is L(1, chi_j) where chi_j is odd and
-    primitive; elsewhere it is only the value of the formula.
-    """
+def dual_transforms(group: UnitGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(B1, L1) for every chi_j of group, indexed by j, as two independent
+    transforms along t: B1 = fft(g**t)/q and L1 = odd_l_values(group)."""
     powers = _by_dlog(group, group.units.astype(float))
-    b1 = np.fft.fft(powers) / group.q
-    tau = group.phi * np.fft.ifft(_by_dlog(group, _unit_phases(group)))
-    return b1, tau, 1j * np.pi * tau * b1 / group.q
+    return np.fft.fft(powers) / group.q, odd_l_values(group)
+
+
+def odd_l_values(group: UnitGroup, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_{n>=1} w(n) chi_j(n) / n on every odd chi_j of group, indexed by j, for
+    w even and q-periodic, given over the ascending units (default 1: L(1, chi_j)).
+
+    By the cotangent formula (module docstring) it is phi*ifft of
+    (pi/2q) cot(pi a/q) w(a) in dlog order; the cot is taken at
+    min(a, q - a), where tan is accurate.  Even entries are not L-values.
+    """
+    q, units = group.q, group.units
+    weight = (np.pi / (2 * q)) / np.tan(np.pi / q * np.minimum(units, q - units))
+    weight[units > q // 2] *= -1  # cot(pi (q - a)/q) = -cot(pi a/q)
+    if weights is not None:
+        weight *= weights
+    out = np.fft.ifft(_by_dlog(group, weight))
+    out *= group.phi
+    return out
 
 
 def _term_histogram(group: UnitGroup, plus: np.ndarray, minus: np.ndarray = ()) -> np.ndarray:
@@ -129,14 +143,20 @@ def _term_histogram(group: UnitGroup, plus: np.ndarray, minus: np.ndarray = ()) 
     return h
 
 
+def _short_histograms(group: UnitGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh term histograms (h, p) of S_G, G + 1 less G, and P_short, 1..b-1."""
+    members = np.array(diagonal_set(group.b))
+    return (_term_histogram(group, members + 1, members),
+            _term_histogram(group, np.arange(1, group.b)))
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Every per-character family of one base, as arrays over j = 0..phi-1.
 
     Entry j belongs to chi_j mod b**2.  B1 is the Bernoulli number of
-    the conjugate character; L1 = i*pi*tau*B1/q is L(1, chi_j) on the
-    primitive odd entries (tau itself is not kept).  odd and primitive
-    are the parity and primitivity masks.
+    the conjugate character; L1 is L(1, chi_j) on the odd entries.  odd
+    and primitive are the parity and primitivity masks.
     """
 
     b: int
@@ -171,14 +191,12 @@ def spectrum_of(b: int) -> Spectrum:
     table = collision_invariant(group)
     phi, j = group.phi, np.arange(group.phi)
     # S_G and P_short first: after dual_transforms they would raise the peak.
-    members = np.array(diagonal_set(b))
-    h = _term_histogram(group, members + 1, members)
+    h, p = _short_histograms(group)
     fold = h.real.reshape(b, b - 1).sum(axis=0)  # by t mod b - 1: exact integer sums
     s_g = np.fft.fft(h, out=h)
     s_g[::b] = np.fft.fft(fold)  # the entries j = b*k (see the docstring)
-    h = _term_histogram(group, np.arange(1, b))
-    p_short = np.fft.fft(h, out=h)
-    b1, _, l1 = dual_transforms(group)  # tau is not kept: packets take it mod b
+    p_short = np.fft.fft(p, out=p)
+    b1, l1 = dual_transforms(group)
     s_hat = np.fft.fft(_by_dlog(group, table.S0_num / b)) / phi
     arrays = dict(s_hat=s_hat, B1=b1, S_G=s_g, P_short=p_short, L1=l1,
                   odd=j % 2 == 1, primitive=j % b != 0)
@@ -273,9 +291,7 @@ def doubling_certificate(group: UnitGroup) -> bool:
     """The doubling theorem in exact form (module docstring): the dlog histogram
     of S_G's terms is roll(p, d + phi/2) - roll(p, d), where p is that of 1..b-1
     and d = dlog(1 + b)."""
-    members = np.array(diagonal_set(group.b))
-    h = _term_histogram(group, members + 1, members)
-    p = _term_histogram(group, np.arange(1, group.b))
+    h, p = _short_histograms(group)
     d = int(group.dlog[1 + group.b])
     return np.array_equal(h, np.roll(p, d + group.phi // 2) - np.roll(p, d))
 

@@ -2,7 +2,8 @@
 library's arrays over the dual index j to.
 
 Each function evaluates one character chi_j, as a `Character`, by direct
-summation over its values.  None of them is on a command's path.
+summation over its values, except packet_twist_sum, which sums the
+packets' twists one at a time.  None of them is on a command's path.
 """
 
 import math
@@ -12,6 +13,8 @@ import numpy as np
 from collspec.characters import Character, gauss_sum
 from collspec.collision import CollisionTable, diagonal_set
 from collspec.errors import NotPrimitiveOdd, WrongModulus
+from collspec.spectrum import dual_transforms, spectrum_of
+from collspec.unit_group import Level, build_unit_group
 
 
 def conjugate(chi: Character) -> Character:
@@ -78,3 +81,29 @@ def is_primitive_by_subgroup(chi: Character) -> bool:
         raise WrongModulus("primitivity test is defined here only mod b**2")
     t = g.dlog[1 + np.arange(1, g.b) * g.b]
     return bool(np.any(chi.index * t % g.phi != 0))
+
+
+def packet_twist_sum(b: int, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L(1, conj chi_j), Delta(chi_j)) for odd j mod b**2 by the stated sum
+
+        Delta(chi) = (i / phi(b)) sum_{xi even, xi != xi_0 mod b} tau(conj xi) L(1, xi conj chi),
+
+    one twist at a time.  The twist of conj(chi_j) by xi_k mod b is
+    chi_{(b*k - j) mod phi}; for imprimitive j = b*k0 it is induced by
+    chi_{(k - k0) mod (b-1)} mod b, and conj(chi_j) by chi_{-k0}, both
+    indexed against the mod-b group on the reduced root.  tau is summed
+    directly; the L-values are the library's L1 arrays mod b**2 and mod b.
+    """
+    spec = spectrum_of(b)
+    mod_b = build_unit_group(b, Level.MOD_B)
+    if mod_b.g != spec.group.g % b:
+        raise ValueError(f"root {spec.group.g} mod {b * b} does not reduce to {mod_b.g} mod {b}")
+    phi, phi_b = spec.group.phi, b - 1
+    _, l1_b = dual_transforms(mod_b)
+    primitive, k0 = js % b != 0, js // b
+    l1 = np.where(primitive, spec.L1[-js % phi], l1_b[-k0 % phi_b])
+    total = np.zeros(len(js), dtype=complex)
+    for k in range(2, b - 1, 2):  # the even nontrivial xi_k mod b
+        twisted = np.where(primitive, spec.L1[(b * k - js) % phi], l1_b[(k - k0) % phi_b])
+        total += gauss_sum(Character(mod_b, -k % phi_b)) * twisted
+    return l1, 1j / (b - 1) * total

@@ -322,8 +322,8 @@ def test_broken_l_value_fails_classnumber(capsys, monkeypatch):
     transforms = lvalues.dual_transforms
 
     def scaled(group):  # L(1) off by 1%: h = round(raw) still matches, raw does not
-        b1, tau, l1 = transforms(group)
-        return b1, tau, 1.01 * l1
+        b1, l1 = transforms(group)
+        return b1, 1.01 * l1
 
     monkeypatch.setattr(lvalues, "dual_transforms", scaled)
     code, out, err = run_main(capsys, "classnumber", "--bases", "7,11", "--format", "pretty")

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collspec import packet
 from collspec.characters import Character, Family
-from collspec.errors import IncompatibleGroups
 from collspec.lvalues import l_value_series
 from collspec.packet import (
     PROBE_FLOOR,
@@ -19,8 +17,8 @@ from collspec.packet import (
     probes,
     stats_from_records,
 )
-from collspec.unit_group import Level, _group_with_root, build_unit_group
-from oracles import conjugate
+from collspec.unit_group import Level, build_unit_group
+from oracles import conjugate, packet_twist_sum
 
 
 def test_b3_packet_is_empty_sum():
@@ -200,10 +198,11 @@ def test_table_family_b5_row():
     assert abs(st5["std_ratio"] - std_ref) < 5e-4
 
 
-def test_mod_b_group_with_another_root_is_refused(monkeypatch):
-    # The twists index the mod-b group against the reduced mod-b**2 root; at b = 7
-    # both least roots are 3, and a mod-7 group on the root 5 must be refused.
-    assert build_unit_group(7, Level.MOD_B_SQUARED).g % 7 == build_unit_group(7, Level.MOD_B).g
-    monkeypatch.setattr(packet, "build_unit_group", lambda b, level: _group_with_root(7, 7, 6, 5))
-    with pytest.raises(IncompatibleGroups):
-        packet_records(7)
+@pytest.mark.parametrize("family", [Family.PRIMITIVE_ODD, Family.ODD])
+@pytest.mark.parametrize("b", [5, 13, 43])
+def test_records_match_the_twist_sum(b, family):
+    # One cotangent transform against the (b-3)/2 twists, each weighted by its Gauss sum
+    recs = packet_records(b, family)
+    l1, delta = packet_twist_sum(b, recs["j"])
+    assert np.abs(recs["L1"] - l1).max() < 1e-13
+    assert np.abs(recs["delta"] - delta).max() < 1e-13

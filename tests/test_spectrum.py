@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from collspec import cli, spectrum
-from collspec.characters import Character, Family, gauss_sum
+from collspec.characters import Character, Family
 from collspec.collision import collision_invariant, diagonal_set
 from collspec.errors import WrongModulus
 from collspec.spectrum import (
@@ -383,18 +383,16 @@ def test_factorization_in_the_theorems_form(b):
 @pytest.mark.parametrize("b", SMALL_BASES)
 def test_spectrum_arrays_match_direct_sums(b):
     spec = spectrum_of(b)
-    _, spec_tau, _ = dual_transforms(spec.group)
+    mod_b = build_unit_group(b, Level.MOD_B)  # chi_{b*k} mod b**2 is induced by chi_k mod b
+    assert mod_b.g == spec.group.g % b
     for j in range(spec.group.phi):
         chi = Character(spec.group, j)
-        b1, tau = bernoulli_b1(chi), gauss_sum(chi)
-        if j % 2 == 1 and j % b != 0:
-            l1 = l_value_closed(chi)
-        else:
-            l1 = 1j * math.pi * tau * b1 / spec.group.q  # the formula, off its domain
         assert abs(spec.s_hat[j] - fourier_coefficient(spec.table, chi)) < 1e-12
-        assert abs(spec.B1[j] - b1) < 1e-12
-        assert abs(spec_tau[j] - tau) < 1e-12
-        assert abs(spec.L1[j] - l1) < 1e-12
+        assert abs(spec.B1[j] - bernoulli_b1(chi)) < 1e-12
+        if j % 2 == 1 and j % b != 0:
+            assert abs(spec.L1[j] - l_value_closed(chi)) < 1e-12
+        elif j % 2 == 1:  # L(1) of the inducing character: chi_{b*k}(b) = 0 drops no term
+            assert abs(spec.L1[j] - l_value_closed(Character(mod_b, j // b))) < 1e-12
         assert abs(spec.S_G[j] - diagonal_sum(chi)) < 1e-12
         assert abs(spec.P_short[j] - short_partial_sum(chi)) < 1e-12
         if j % b == 0:  # from the exact fold of the histogram mod b - 1
@@ -416,14 +414,12 @@ def test_imprimitive_diagonal_sums_are_the_direct_sums(b):
 
 @pytest.mark.parametrize("b", SMALL_BASES)
 def test_companion_transforms_match_direct_sums(b):
-    group = build_unit_group(b, Level.MOD_B)  # packets' mod-b group
-    assert group.g == spectrum_of(b).group.g % b
-    b1, tau, l1 = dual_transforms(group)
+    group = build_unit_group(b, Level.MOD_B)  # class numbers' group
+    b1, l1 = dual_transforms(group)
     for j in range(group.phi):
         chi = Character(group, j)
         assert abs(b1[j] - bernoulli_b1(chi)) < 1e-12
-        assert abs(tau[j] - gauss_sum(chi)) < 1e-12
-        if j % 2 == 1:
+        if j % 2 == 1:  # every odd chi mod b is primitive
             assert abs(l1[j] - l_value_closed(chi)) < 1e-12
 
 
