@@ -179,6 +179,8 @@ def _check_packet(b: int, cfg: RunConfig) -> list[Verdict]:
 
 def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
     from . import characters, lvalues, spectrum
+    if cfg.cutoff is not None:
+        lvalues.series_truncation(b * b, cfg.cutoff)  # a refused cutoff costs no spectrum
     spec = spectrum.spectrum_of(b)
     js = spec.indices(characters.Family.PRIMITIVE_ODD)
     l1 = spec.L1[js]
@@ -188,9 +190,8 @@ def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
                "magnitude_residual": residual}
     if cfg.cutoff is None:
         return [_verdict(f"lvalue-magnitude[b={b}]", residual, cfg.tolerance, details)]
-    series = _stack([lvalues.l_value_series(spec.group, j, cfg.cutoff) for j in js.tolist()])
-    gaps = np.array([max(0.0, abs(l_val - s) - tail) for l_val, s, tail in
-                     zip(l1.tolist(), series["series"].tolist(), series["tail_bound"].tolist())])
+    series = lvalues.l_value_series(spec.group, js, cfg.cutoff)
+    gaps = np.maximum(0.0, spectrum.magnitudes(l1 - series["series"]) - series["tail_bound"])
     details.update(series, agreement_gap=gaps)
     return [_verdict(f"lvalue-magnitude[b={b}]", residual, cfg.tolerance, details),
             _verdict(f"lvalue-series[b={b}]", gaps, 10 * cfg.tolerance)]
@@ -204,24 +205,18 @@ def _check_classnumber(cfg: RunConfig) -> list[Verdict]:
     return [_verdict("classnumber", residuals, CLASSNUMBER_TOLERANCE, details)]
 
 
-def _prime_sums(cfg: RunConfig, record: Callable) -> dict[str, np.ndarray]:
-    """The records of every (b, s), over one sieve up to the cutoff."""
-    from . import unit_group
-    cutoff = DEFAULT_CUTOFF if cfg.cutoff is None else cfg.cutoff
-    primes = unit_group.sieve_primes(max(cutoff, 2))  # a cutoff below b**2 is refused per record
-    return _stack([record(b, s, cutoff, primes) for b in cfg.bases for s in cfg.s_values])
-
-
 def _check_margin(check_name: str, cfg: RunConfig) -> list[Verdict]:
     from . import prime_sums
-    details = _prime_sums(cfg, prime_sums.cross_moment_bound)
+    cutoff = DEFAULT_CUTOFF if cfg.cutoff is None else cfg.cutoff
+    details = _stack(prime_sums.cross_moment_bound(cfg.bases, cfg.s_values, cutoff))
     shortfall = np.where(details["margin"] >= 0, 0.0, -details["margin"])  # NaN stays NaN
     return [_verdict(check_name, shortfall, cfg.tolerance, details)]
 
 
 def _check_expansion(cfg: RunConfig) -> list[Verdict]:
     from . import prime_sums
-    details = _prime_sums(cfg, prime_sums.verify_expansion)
+    cutoff = DEFAULT_CUTOFF if cfg.cutoff is None else cfg.cutoff
+    details = _stack(prime_sums.verify_expansion(cfg.bases, cfg.s_values, cutoff))
     return [_verdict("expansion", details["expansion_residual"], 10 * cfg.tolerance, details),
             _verdict("restriction", details["restriction_residual"], cfg.tolerance)]
 

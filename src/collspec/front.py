@@ -4,8 +4,11 @@ data, the parser built from it, and the validation of a run.
 COMMANDS holds each command's help text, --cutoff/--s flags, default
 bases and exponents, CSV columns, single-base rule, and whether its
 check pools the whole run's rows; `cli.CHECKS` maps the same names to
-the checks.  `main` validates argv before the back loads, so `--help`,
-a usage error and every refusal exit before numpy does.
+the checks.  `main` validates argv before the back loads: `--help`, a
+usage error and a bad base, --tol or report directory exit before numpy
+loads.  The library refuses an s or cutoff out of range before it sieves
+or builds a spectrum, and finds only a cutoff with no prime above b**2,
+an underflowing p^-s and an unwritable report file as the run goes.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
 configuration error (a refused input, or a report that cannot be

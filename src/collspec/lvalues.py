@@ -13,8 +13,9 @@ dual index j,
 
 summed over whole periods of chi so that partial summation gives the
 tail bound M_chi / N with M_chi the exact one-period maximum of
-|sum_{n <= t} chi(n)|.  The series is an oracle only; no identity
-verification consumes it.
+|sum_{n <= t} chi(n)|.  l_value_series returns columns over the j it
+is given.  The series is an oracle only; no identity verification
+consumes it.
 
 For a prime b = 3 (mod 4), b > 3, the Legendre character mod b is odd
 with fundamental discriminant D = -b and |L(1, chi_D)| = pi*h(D)/sqrt(b)
@@ -27,13 +28,12 @@ b' >= 0 whenever |b'| = a or a = c.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .characters import Family, roots_of_unity
 from .errors import BadDiscriminant, CutoffTooShort, LimitTooLarge, PrincipalCharacter
-from .spectrum import dual_transforms, magnitudes, spectrum_of
+from .spectrum import magnitudes, odd_l_values, spectrum_of
 from .unit_group import Level, UnitGroup, build_unit_group, is_odd_prime
 
 
@@ -43,7 +43,6 @@ SERIES_LIMIT = 100_000_000
 SERIES_BLOCK = 1 << 16  # terms summed at a time, rounded down to whole periods
 
 
-@lru_cache(maxsize=8)
 def _harmonic_by_residue(q: int, n_eff: int) -> np.ndarray:
     """H[r] = sum of 1/n over n <= n_eff with n = r (mod q)."""
     # Row i holds n = i*q + 1 .. i*q + q, so column c is residue (c+1) mod q.
@@ -56,7 +55,6 @@ def _harmonic_by_residue(q: int, n_eff: int) -> np.ndarray:
         cols = np.concatenate([cols, block]).reshape(-1, q).sum(axis=0)
     out = np.empty(q)
     out[(np.arange(q) + 1) % q] = cols
-    out.flags.writeable = False
     return out
 
 
@@ -67,29 +65,40 @@ def max_partial_sum(values: np.ndarray) -> float:
     return float(np.max(np.abs(running)))
 
 
-def l_value_series(group: UnitGroup, j: int, cutoff: int) -> dict:
-    """Truncated Dirichlet series oracle for chi_j (j read mod phi) on group,
-    with a valid tail bound.
-
-    The truncation is rounded up to a whole number of periods, which is
-    what makes the partial-summation bound M_chi / N correct (the
-    running character sum returns to zero at the truncation point).
-    Keys: series, the truncated sum; series_truncation, the rounded-up
-    truncation N; tail_bound, M_chi / N.
-    """
-    if j % group.phi == 0:
-        raise PrincipalCharacter("the series needs a non-principal character")
-    q = group.q
+def series_truncation(q: int, cutoff: int) -> int:
+    """The series' truncation for modulus q: cutoff rounded up to a whole
+    number of periods, refused below q^2 and above SERIES_LIMIT."""
     if cutoff < q * q:
         raise CutoffTooShort(f"truncation {cutoff} too short; need at least q^2 = {q * q}")
     if cutoff > SERIES_LIMIT:
         raise LimitTooLarge(f"truncation {cutoff} exceeds the series bound {SERIES_LIMIT}")
-    n_eff = -(-cutoff // q) * q
-    harmonic = _harmonic_by_residue(q, n_eff)
-    values = np.zeros(q, dtype=complex)  # chi_j by residue, 0 off the units
-    values[group.units] = roots_of_unity(group.phi)[j * group.dlog[group.units] % group.phi]
-    return {"series": complex(np.dot(values, harmonic)),
-            "series_truncation": n_eff, "tail_bound": max_partial_sum(values) / n_eff}
+    return -(-cutoff // q) * q
+
+
+def l_value_series(group: UnitGroup, js: np.ndarray, cutoff: int) -> dict[str, np.ndarray]:
+    """Truncated Dirichlet series oracle for chi_j on group, for each j of
+    the integers js (read mod phi), with a valid tail bound, as columns.
+
+    The truncation is rounded up to a whole number of periods, which is
+    what makes the partial-summation bound M_chi / N correct (the
+    running character sum returns to zero at the truncation point).
+    Columns: series, the truncated sum; series_truncation, the rounded-up
+    truncation N; tail_bound, M_chi / N.
+    """
+    js = np.asarray(js, dtype=np.int64)
+    if (js % group.phi == 0).any():
+        raise PrincipalCharacter("the series needs a non-principal character")
+    n_eff = series_truncation(group.q, cutoff)
+    harmonic = _harmonic_by_residue(group.q, n_eff)
+    roots, exponents = roots_of_unity(group.phi), group.dlog[group.units]
+    values = np.zeros(group.q, dtype=complex)  # chi_j by residue, 0 off the units
+    series, tails = np.empty(len(js), dtype=complex), np.empty(len(js))
+    for i, j in enumerate(js.tolist()):
+        values[group.units] = roots[j * exponents % group.phi]
+        series[i] = np.dot(values, harmonic)
+        tails[i] = max_partial_sum(values) / n_eff
+    return {"series": series, "series_truncation": np.full(len(js), n_eff),
+            "tail_bound": tails}
 
 
 # ====== L-encoding of the spectrum ======
@@ -138,8 +147,7 @@ def class_number_check(b: int) -> dict:
     if not is_odd_prime(b) or b % 4 != 3 or b <= 3:
         raise BadDiscriminant(f"need a prime b = 3 (mod 4), b > 3; got {b}")
     # The Legendre symbol is chi_{(b-1)/2} mod b, odd since b = 3 (mod 4).
-    _, l1 = dual_transforms(build_unit_group(b, Level.MOD_B))
-    l_val = complex(l1[(b - 1) // 2])
+    l_val = complex(odd_l_values(build_unit_group(b, Level.MOD_B))[(b - 1) // 2])
     raw = math.sqrt(b) * abs(l_val) / math.pi
     return {"b": b, "D": -b, "h_from_L": round(raw), "h_from_forms": len(reduced_forms(-b)),
             "pre_rounding": raw}

@@ -88,7 +88,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -184,12 +183,18 @@ class Spectrum:
         return np.abs(self.s_hat + self.B1 * np.conj(self.S_G) / self.group.phi)
 
 
-@lru_cache(maxsize=8)
+_held: dict[int, Spectrum] = {}  # the last one built: every caller takes one base at a time
+
+
 def spectrum_of(b: int) -> Spectrum:
-    """The spectrum of base b, built once per process."""
+    """The spectrum of base b.  The last one built is held, and dropped
+    before another base's is built."""
+    if b in _held:
+        return _held[b]
+    _held.clear()
     group = build_unit_group(b, Level.MOD_B_SQUARED)
     table = collision_invariant(group)
-    phi, j = group.phi, np.arange(group.phi)
+    phi = group.phi
     # S_G and P_short first: after dual_transforms they would raise the peak.
     h, p = _short_histograms(group)
     fold = h.real.reshape(b, b - 1).sum(axis=0)  # by t mod b - 1: exact integer sums
@@ -198,11 +203,13 @@ def spectrum_of(b: int) -> Spectrum:
     p_short = np.fft.fft(p, out=p)
     b1, l1 = dual_transforms(group)
     s_hat = np.fft.fft(_by_dlog(group, table.S0_num / b)) / phi
+    j = np.arange(phi)  # after the transforms, whose workspace sets the peak
     arrays = dict(s_hat=s_hat, B1=b1, S_G=s_g, P_short=p_short, L1=l1,
                   odd=j % 2 == 1, primitive=j % b != 0)
     for arr in arrays.values():
         arr.flags.writeable = False
-    return Spectrum(b=b, group=group, table=table, **arrays)
+    _held[b] = Spectrum(b=b, group=group, table=table, **arrays)
+    return _held[b]
 
 
 # ====== the proof steps, for every primitive odd chi at once ======

@@ -101,19 +101,9 @@ def build_unit_group(b: int, level: Level = Level.MOD_B_SQUARED) -> UnitGroup:
     return _group_with_root(q, b, phi, g)
 
 
-@dataclass(frozen=True, eq=False)
-class PrimeList:
-    """Ascending primes up to limit, as an int64 array."""
-
-    limit: int
-    primes: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
-
-
-def sieve_primes(limit: int) -> PrimeList:
-    """Sieve of Eratosthenes up to limit inclusive, over the odd numbers."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """The primes up to limit inclusive, ascending, as a read-only int64 array:
+    the sieve of Eratosthenes over the odd numbers."""
     if limit < 2:
         raise ValueError(f"sieve limit must be at least 2, got {limit}")
     if limit > SIEVE_LIMIT:
@@ -128,4 +118,4 @@ def sieve_primes(limit: int) -> PrimeList:
     primes += 1
     primes[0] = 2
     primes.flags.writeable = False
-    return PrimeList(limit=limit, primes=primes)
+    return primes

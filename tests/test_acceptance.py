@@ -28,7 +28,7 @@ from collspec.spectrum import (
     verify_moment,
     verify_proof_steps,
 )
-from collspec.unit_group import Level, build_unit_group, is_odd_prime, sieve_primes
+from collspec.unit_group import Level, build_unit_group, is_odd_prime
 from oracles import l_value_closed
 
 DECOMPOSE_BASES = (3, 5, 7, 11, 13, 19, 31, 43)
@@ -149,10 +149,11 @@ def test_criterion_8_series_oracle():
     worst = -math.inf
     for b in (3, 5, 7):
         spec = spectrum_of(b)
-        for j in spec.indices(Family.PRIMITIVE_ODD).tolist():
+        js = spec.indices(Family.PRIMITIVE_ODD)
+        columns = l_value_series(spec.group, js, 10 ** 7)
+        for j, series, tail in zip(js.tolist(), columns["series"], columns["tail_bound"]):
             closed = l_value_closed(Character(spec.group, j))
-            series = l_value_series(spec.group, j, 10 ** 7)
-            worst = max(worst, abs(closed - series["series"]) - series["tail_bound"])
+            worst = max(worst, abs(closed - series) - tail)
     ok = worst <= 1e-9
     report(8, "series vs closed form", ok, f"worst gap-tail {worst:.2e}")
     assert ok
@@ -173,12 +174,9 @@ def test_criterion_9_class_numbers():
 
 def test_criterion_10_expansion():
     worst_resid, worst_margin = 0.0, math.inf
-    primes = sieve_primes(10 ** 5)
-    for b in (5, 7):
-        for s in (0.8, 1.2, 2.0):
-            rec = verify_expansion(b, s, 10 ** 5, primes)
-            worst_resid = max(worst_resid, rec["expansion_residual"])
-            worst_margin = min(worst_margin, rec["margin"])
+    for rec in verify_expansion([5, 7], [0.8, 1.2, 2.0], 10 ** 5):
+        worst_resid = max(worst_resid, rec["expansion_residual"])
+        worst_margin = min(worst_margin, rec["margin"])
     ok = worst_resid < 1e-9 and worst_margin >= -1e-10
     report(10, "expansion identity", ok,
            f"resid {worst_resid:.2e}, min margin {worst_margin:+.4f}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from collspec import cli, collision, front, lvalues, packet, prime_sums, spectrum
+from collspec import cli, collision, front, lvalues, packet, prime_sums, spectrum, unit_group
 from collspec.cli import main
 
 
@@ -121,6 +121,36 @@ def test_unwritable_report_is_refused_before_the_check(capsys, monkeypatch, tmp_
     assert code == 2
     assert out == ""
     assert err == f"error: {error}: {str(path)!r}\n"
+
+
+LIBRARY_REFUSALS = [
+    (("cross-moment", "--base", "5", "--s", "0.3", "--cutoff", "1000000000"),
+     "ExponentOutOfRange: need a finite s > 0.5, got 0.3"),
+    (("expansion", "--bases", "3,5", "--s", "1.2,-1", "--cutoff", "2000"),
+     "ExponentOutOfRange: need a finite s > 0, got -1.0"),
+    (("expansion", "--base", "1999", "--cutoff", "5000"),
+     "CutoffBelowModulus: cutoff 5000 does not exceed modulus 3996001"),
+    (("sweep", "--bases", "3,5", "--cutoff", "20"),
+     "CutoffBelowModulus: cutoff 20 does not exceed modulus 25"),
+    (("lvalue", "--base", "997", "--cutoff", "1000"),
+     "CutoffTooShort: truncation 1000 too short; need at least q^2 = 988053892081"),
+    (("lvalue", "--base", "97", "--cutoff", "100000001"),
+     "LimitTooLarge: truncation 100000001 exceeds the series bound 100000000"),
+]
+
+
+@pytest.mark.parametrize("argv,error", LIBRARY_REFUSALS,
+                         ids=[" ".join(a) for a, _ in LIBRARY_REFUSALS])
+def test_refused_input_costs_no_sieve_or_spectrum(capsys, monkeypatch, argv, error):
+    def refuse(*args):
+        raise AssertionError("the work began")
+
+    for module in (unit_group, spectrum, prime_sums, lvalues):  # every binding of the two
+        for name in ("sieve_primes", "spectrum_of"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("argv,lines", [
@@ -302,9 +332,8 @@ def test_expansion_accepts_s_below_one_half(capsys):
 def test_nan_margin_fails(capsys, monkeypatch):
     bound = prime_sums.cross_moment_bound
 
-    def nan_at_5(b, *args):  # a NaN after a passing row must still fail
-        rec = bound(b, *args)
-        return {**rec, "margin": math.nan} if b == 5 else rec
+    def nan_at_5(*args):  # a NaN after a passing row must still fail
+        return [{**rec, "margin": math.nan} if rec["b"] == 5 else rec for rec in bound(*args)]
 
     monkeypatch.setattr(prime_sums, "cross_moment_bound", nan_at_5)
     argv = ("cross-moment", "--bases", "3,5", "--cutoff", "1000", "--format")
@@ -319,13 +348,12 @@ def test_nan_margin_fails(capsys, monkeypatch):
 
 
 def test_broken_l_value_fails_classnumber(capsys, monkeypatch):
-    transforms = lvalues.dual_transforms
+    l_values = lvalues.odd_l_values
 
     def scaled(group):  # L(1) off by 1%: h = round(raw) still matches, raw does not
-        b1, l1 = transforms(group)
-        return b1, 1.01 * l1
+        return 1.01 * l_values(group)
 
-    monkeypatch.setattr(lvalues, "dual_transforms", scaled)
+    monkeypatch.setattr(lvalues, "odd_l_values", scaled)
     code, out, err = run_main(capsys, "classnumber", "--bases", "7,11", "--format", "pretty")
     assert code == 1
     assert "[FAIL] classnumber" in out
@@ -339,13 +367,10 @@ def test_broken_diagonal_set_fails_decompose(capsys, monkeypatch):
         return tuple(members)
 
     monkeypatch.setattr(spectrum, "diagonal_set", moved)
+    monkeypatch.setattr(spectrum, "_held", {})  # the broken spectrum goes with the patch
     # S_G no longer matches s_hat, and its fold mod b - 1 is no longer 0
     for what, failing in (("decompose", "decompose[b=13]"), ("vanishing", "vanishing-S-G[b=13]")):
-        spectrum.spectrum_of.cache_clear()
-        try:
-            code, out, _ = run_main(capsys, "verify", what, "--base", "13", "--format", "pretty")
-        finally:
-            spectrum.spectrum_of.cache_clear()
+        code, out, _ = run_main(capsys, "verify", what, "--base", "13", "--format", "pretty")
         assert code == 1
         assert f"[FAIL] {failing}" in out
 

@@ -5,14 +5,23 @@ import pytest
 
 import numpy as np
 
+from collspec import lvalues
 from collspec.characters import Character, Family
-from collspec.errors import BadDiscriminant, NotPrimitiveOdd, PrincipalCharacter
+from collspec.errors import (
+    BadDiscriminant,
+    CutoffTooShort,
+    LimitTooLarge,
+    NotPrimitiveOdd,
+    PrincipalCharacter,
+)
 from collspec.lvalues import (
+    SERIES_LIMIT,
     _harmonic_by_residue,
     class_number_check,
     l_value_series,
     max_partial_sum,
     reduced_forms,
+    series_truncation,
     verify_encoding,
 )
 from collspec.spectrum import spectrum_of
@@ -59,67 +68,81 @@ def test_magnitude_law_mod_25():
 def test_series_agrees_with_closed_form():
     g = build_unit_group(3, Level.MOD_B_SQUARED)
     closed = l_value_closed(Character(g, 1))
-    series = l_value_series(g, 1, 200_000)
-    assert list(series) == ["series", "series_truncation", "tail_bound"]
-    assert abs(closed - series["series"]) <= series["tail_bound"]
-    assert series["series_truncation"] % 9 == 0
-    assert series["series_truncation"] >= 200_000
+    columns = l_value_series(g, [1], 200_000)
+    assert list(columns) == ["series", "series_truncation", "tail_bound"]
+    series, n_eff, tail = (columns[k].item() for k in columns)
+    assert abs(closed - series) <= tail
+    assert n_eff % 9 == 0
+    assert n_eff >= 200_000
 
 
 def test_series_legendre_mod_3():
     # direct alternating structure: 1 - 1/2 + 1/4 - 1/5 + ...
     chi = legendre(3)
-    series = l_value_series(chi.group, chi.index, 100_000)
-    assert series["series"].real == pytest.approx(math.pi / (3 * math.sqrt(3)), abs=1e-5)
-    assert abs(series["series"].imag) < 1e-15
+    [series] = l_value_series(chi.group, [chi.index], 100_000)["series"]
+    assert series.real == pytest.approx(math.pi / (3 * math.sqrt(3)), abs=1e-5)
+    assert abs(series.imag) < 1e-15
 
 
 def test_series_guards():
     g = build_unit_group(3, Level.MOD_B_SQUARED)
     with pytest.raises(PrincipalCharacter):
-        l_value_series(g, 0, 10 ** 5)
+        l_value_series(g, [1, 0], 10 ** 5)
     with pytest.raises(PrincipalCharacter):
-        l_value_series(g, g.phi, 10 ** 5)  # j is read mod phi
+        l_value_series(g, [g.phi], 10 ** 5)  # j is read mod phi
     with pytest.raises(ValueError):
-        l_value_series(g, 1, 80)  # below q^2
+        l_value_series(g, [1], 80)  # below q^2
+    with pytest.raises(LimitTooLarge):
+        l_value_series(g, [1], SERIES_LIMIT + 1)
+    # the range is checked on q alone, before any group or spectrum exists
+    assert series_truncation(9, 81) == 81 and series_truncation(9, 82) == 90
+    with pytest.raises(CutoffTooShort):
+        series_truncation(997 ** 2, SERIES_LIMIT)
 
 
 def test_series_memory_is_linear_in_q():
     # summing all 10**7 terms at once would peak near 150 MB
     g = build_unit_group(5, Level.MOD_B_SQUARED)
-    _harmonic_by_residue.cache_clear()
     tracemalloc.start()
     try:
-        l_value_series(g, 1, 10**7)
+        l_value_series(g, [1], 10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
 
 
-def test_series_family_shapes():
+def test_series_family_shapes(monkeypatch):
     spec = spectrum_of(3)
     indices = spec.indices(Family.PRIMITIVE_ODD).tolist()
     assert len(indices) == 2
-    for j in indices:
+    tables = []  # one harmonic table serves every j of a call
+    monkeypatch.setattr(lvalues, "_harmonic_by_residue",
+                        lambda *args: tables.append(args) or _harmonic_by_residue(*args))
+    columns = l_value_series(spec.group, indices, 10 ** 5)
+    assert tables == [(9, 100_008)]
+    for j, series, tail in zip(indices, columns["series"], columns["tail_bound"]):
         closed = l_value_closed(Character(spec.group, j))
-        series = l_value_series(spec.group, j, 10 ** 5)
-        assert abs(closed - series["series"]) <= series["tail_bound"] + 1e-9
+        assert abs(closed - series) <= tail + 1e-9
 
 
 def test_max_partial_sum_bounds():
     g = build_unit_group(5, Level.MOD_B_SQUARED)
-    for j in (1, 3, 7):
+    js = [1, 3, 7]
+    columns = l_value_series(g, js, 10**5)
+    for j, series, n_eff, tail in zip(js, *columns.values()):
         values = np.zeros(g.q, dtype=complex)
         values[g.units] = Character(g, j).values_on_units()
         m = max_partial_sum(values)
         assert 0 < m <= g.phi
-        # the series sums this residue table, bit for bit, and j is read mod phi
-        series = l_value_series(g, j, 10**5)
-        n_eff = series["series_truncation"]
-        assert series["series"] == complex(np.dot(values, _harmonic_by_residue(g.q, n_eff)))
-        assert series["tail_bound"] == m / n_eff
-        assert l_value_series(g, j - g.phi, 10**5) == series
+        # the series sums this residue table, bit for bit
+        assert series == complex(np.dot(values, _harmonic_by_residue(g.q, n_eff)))
+        assert tail == m / n_eff
+    # j is read mod phi, and each column is the one-j series
+    shifted = l_value_series(g, [j - g.phi for j in js], 10**5)
+    for key, column in columns.items():
+        assert np.array_equal(shifted[key], column)
+        assert [l_value_series(g, [j], 10**5)[key][0] for j in js] == column.tolist()
 
 
 @pytest.mark.parametrize("b", [3, 5, 7, 13])

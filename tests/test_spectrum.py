@@ -2,6 +2,7 @@
 factorization, its proof steps, and the moment identity."""
 
 import math
+import weakref
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -351,7 +352,7 @@ def test_broken_dlog_fails_the_doubling_certificate(monkeypatch, capsys):
 def test_doubling_certificate_at_every_odd_prime_below_1000():
     # The certificate holds at every base, and P's histogram rolled one step too
     # far fails it at every base.
-    for b in sieve_primes(1000).primes[1:].tolist():
+    for b in sieve_primes(1000)[1:].tolist():
         group = build_unit_group(b)
         assert doubling_certificate(group), b
         members = np.array(diagonal_set(b))
@@ -400,6 +401,22 @@ def test_spectrum_arrays_match_direct_sums(b):
             assert abs(diagonal_sum(chi)) < 1e-14
         assert spec.odd[j] == (chi.value(-1).real < 0)  # chi(-1) = -1
         assert spec.primitive[j] == is_primitive_by_subgroup(chi)
+
+
+def test_building_a_spectrum_frees_the_last_one(monkeypatch):
+    # Every caller takes one base at a time: base 7's spectrum is built only
+    # after base 5's is gone, and asking for base 7 again builds nothing.
+    ref = weakref.ref(spectrum_of(5))
+    build, alive = spectrum.build_unit_group, []
+
+    def recording(*args):
+        alive.append(ref() is not None)
+        return build(*args)
+
+    monkeypatch.setattr(spectrum, "build_unit_group", recording)
+    spec = spectrum_of(7)
+    assert alive == [False]
+    assert spectrum_of(7) is spec and alive == [False]
 
 
 @pytest.mark.parametrize("b", [31, 59, 61])

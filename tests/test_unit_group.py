@@ -122,17 +122,19 @@ def _trial_primes(n):
 
 
 def test_sieve_small():
-    assert list(sieve_primes(10).primes) == [2, 3, 5, 7]
-    assert list(sieve_primes(2).primes) == [2]
-    assert list(sieve_primes(3).primes) == [2, 3]
-    assert list(sieve_primes(4).primes) == [2, 3]
-    assert list(sieve_primes(9).primes) == [2, 3, 5, 7]
+    assert list(sieve_primes(10)) == [2, 3, 5, 7]
+    assert list(sieve_primes(2)) == [2]
+    assert list(sieve_primes(3)) == [2, 3]
+    assert list(sieve_primes(4)) == [2, 3]
+    assert list(sieve_primes(9)) == [2, 3, 5, 7]
     assert len(sieve_primes(100)) == 25
-    assert sieve_primes(100).primes[-1] == 97
+    assert sieve_primes(100)[-1] == 97
+    primes = sieve_primes(100)  # the array itself, read-only
+    assert primes.dtype == np.int64 and not primes.flags.writeable
 
 
 def test_sieve_matches_trial_division():
-    assert list(sieve_primes(10 ** 4).primes) == _trial_primes(10 ** 4)
+    assert list(sieve_primes(10 ** 4)) == _trial_primes(10 ** 4)
 
 
 def test_sieve_limits():
