@@ -69,14 +69,14 @@ class Character:
         return complex(roots_of_unity(self.group.phi)[self.index * t % self.group.phi])
 
     def values_on_units(self) -> np.ndarray:
-        """Values over the group's units in ascending unit order."""
+        """Values over the group's units, in their order a = g**t."""
         return _values_on_units(self)
 
 
 @lru_cache(maxsize=512)
 def _values_on_units(chi: Character) -> np.ndarray:
     g = chi.group
-    vals = roots_of_unity(g.phi)[(chi.index * g.dlog[g.units]) % g.phi]
+    vals = roots_of_unity(g.phi)[chi.index * np.arange(g.phi) % g.phi]
     vals.flags.writeable = False
     return vals
 

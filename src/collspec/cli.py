@@ -180,7 +180,7 @@ def _check_packet(b: int, cfg: RunConfig) -> list[Verdict]:
 def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
     from . import characters, lvalues, spectrum
     if cfg.cutoff is not None:
-        lvalues.series_truncation(b * b, cfg.cutoff)  # a refused cutoff costs no spectrum
+        lvalues.series_truncation(max(cfg.bases) ** 2, cfg.cutoff)  # before any base's work
     spec = spectrum.spectrum_of(b)
     js = spec.indices(characters.Family.PRIMITIVE_ODD)
     l1 = spec.L1[js]
@@ -223,14 +223,23 @@ def _check_expansion(cfg: RunConfig) -> list[Verdict]:
 
 def _check_dump_collision(b: int, cfg: RunConfig) -> list[Verdict]:
     from . import collision, unit_group
-    table = collision.collision_invariant(unit_group.build_unit_group(b))
-    # S0 = S0_num / b, printed in lowest terms as Fraction would print it.
-    g = np.gcd(table.S0_num, b)
-    details = {"a": table.units, "S": table.S, "S_centered_num": table.S0_num // g,
-               "S_centered_den": b // g}
+    group = unit_group.build_unit_group(b)
+    table = collision.collision_invariant(group)
     coset_ok = not collision.coset_sums(b, table.units, table.S0_num).any()
-    # a -> m - a reverses the ascending units.
-    anti_ok = np.array_equal(table.S0_num[::-1], -table.S0_num)
+    # a -> m - a is the roll by phi/2 along t, as -1 = g**(phi/2): it swaps the halves.
+    half = group.phi // 2
+    anti_ok = np.array_equal(table.S0_num[half:], -table.S0_num[:half])
+    # The rows ascend in a: gathered through the inverse table a column at a time.
+    order, units, s, num = group.dlog[group.dlog >= 0], table.units, table.S, table.S0_num
+    del group, table
+    units = units[order]
+    s = s[order]
+    num = num[order]
+    # S0 = S0_num / b, printed in lowest terms as Fraction would print it.
+    den = np.gcd(num, b)
+    num //= den
+    details = {"a": units, "S": s, "S_centered_num": num,
+               "S_centered_den": np.floor_divide(b, den, out=den)}
     return [_verdict(f"collision-exactness[b={b}]", [float(not (coset_ok and anti_ok))],
                      cfg.tolerance, details)]
 

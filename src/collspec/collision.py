@@ -45,10 +45,10 @@ def coset_sums(b: int, units: np.ndarray, values: np.ndarray) -> np.ndarray:
 class CollisionTable:
     """S and its centered companion over the units mod m = b**2.
 
-    units (ascending), S and S0_num are aligned read-only int64 arrays;
-    the centered value is S0 = S0_num / b exactly.  class_sums[k] is the
-    sum of S over the coset a = k (mod b), so the coset mean is
-    class_sums[k] / b and b*S = S0_num + class_sums[units % b].
+    units (the group's, a = g**t), S and S0_num are aligned read-only
+    int64 arrays; the centered value is S0 = S0_num / b exactly.
+    class_sums[k] is the sum of S over the coset a = k (mod b), so the
+    coset mean is class_sums[k] / b and b*S = S0_num + class_sums[units % b].
     """
 
     m: int

@@ -90,7 +90,7 @@ def l_value_series(group: UnitGroup, js: np.ndarray, cutoff: int) -> dict[str, n
         raise PrincipalCharacter("the series needs a non-principal character")
     n_eff = series_truncation(group.q, cutoff)
     harmonic = _harmonic_by_residue(group.q, n_eff)
-    roots, exponents = roots_of_unity(group.phi), group.dlog[group.units]
+    roots, exponents = roots_of_unity(group.phi), np.arange(group.phi)  # units[t] = g**t
     values = np.zeros(group.q, dtype=complex)  # chi_j by residue, 0 off the units
     series, tails = np.empty(len(js), dtype=complex), np.empty(len(js))
     for i, j in enumerate(js.tolist()):

@@ -22,12 +22,14 @@ pocketfft), since conj(chi_j)(g**t) = e(-jt/phi): s0_hat, B1, and S_G
 and P_short from their terms' histograms over t.  So is L(1, chi_j) on
 every odd chi_j, primitive or induced, with no Gauss sum, by the
 cotangent formula sum_{n>=1} f(n)/n = (pi/2q) sum_{0<a<q} f(a) cot(pi a/q)
-for odd q-periodic f (odd_l_values).  S_G's b - 1
-entries j = b*k come from the histogram folded mod b - 1 instead, since
-chi_{b*k}(g**t) = e(kt/(b-1)) depends on t mod b - 1 only.  That fold
-counts the diagonal terms by unit residue mod b, and each one is hit
-once as n + 1 and once as n: it is exactly 0, and so are those entries
-(the vanishing on imprimitive odd chi below, without rounding).
+for odd q-periodic f (odd_l_values).  The group stores its units in
+that order, units[t] = g**t, so an array over the units is a transform
+input as built.  S_G's b - 1 entries j = b*k come from the histogram
+folded mod b - 1 instead, since chi_{b*k}(g**t) = e(kt/(b-1)) depends
+on t mod b - 1 only.  That fold counts the diagonal terms by unit
+residue mod b, and each one is hit once as n + 1 and once as n: it is
+exactly 0, and so are those entries (the vanishing on imprimitive odd
+chi below, without rounding).
 Measured: factorization residual 3.1e-16, 5.6e-16, 4.7e-16 and 6.3e-16
 at b = 13, 43, 97 and 199; |s0_hat| on the vanishing families below
 2.1e-16; the arrays within 1.2e-13 of the direct per-character sums at
@@ -48,10 +50,10 @@ chi at once, each ingredient a transform held against its closed form:
   * and in total sum_a S(a) * conj(chi(a)) = -B1 * conj(S_G).
 
 The lemma is checked for every unit n at once: an exact int64
-certificate shows that the table of g**t mod m obeys powers[0] = 1 and
-powers[t + 1] = g * powers[t] mod m cyclically, so row n, {n*a/m} along
-a = g**t, is row 1 rolled by dlog n, and its transform is chi(n) times
-row 1's (the shift theorem).  Row 1, a/m, is transformed once against
+certificate shows that the units, the table of g**t mod m, obey
+units[0] = 1 and units[t + 1] = g * units[t] mod m cyclically, so row
+n, {n*a/m} along a = g**t, is row 1 rolled by dlog n, and its transform
+is chi(n) times row 1's (the shift theorem).  Row 1, a/m, is transformed once against
 B1.  The slices need no transform of their own: by the floor identity
 d_n(a) = a/m + {n*a/m} - {(n+1)*a/m}, d_n's transform is exactly
 [1 + chi(n) - chi(n+1)], at most 3 in modulus, times row 1's, so the
@@ -99,26 +101,12 @@ from .unit_group import Level, UnitGroup, build_unit_group
 # ====== every character at once ======
 
 
-def _by_dlog(group: UnitGroup, values: np.ndarray) -> np.ndarray:
-    """Reorder values aligned with ascending units to the order a = g**t."""
-    out = np.empty_like(values)
-    out[group.dlog[group.units]] = values
-    return out
-
-
-def dual_transforms(group: UnitGroup) -> tuple[np.ndarray, np.ndarray]:
-    """(B1, L1) for every chi_j of group, indexed by j, as two independent
-    transforms along t: B1 = fft(g**t)/q and L1 = odd_l_values(group)."""
-    powers = _by_dlog(group, group.units.astype(float))
-    return np.fft.fft(powers) / group.q, odd_l_values(group)
-
-
 def odd_l_values(group: UnitGroup, weights: np.ndarray | None = None) -> np.ndarray:
     """sum_{n>=1} w(n) chi_j(n) / n on every odd chi_j of group, indexed by j, for
-    w even and q-periodic, given over the ascending units (default 1: L(1, chi_j)).
+    w even and q-periodic, given over group.units (default 1: L(1, chi_j)).
 
     By the cotangent formula (module docstring) it is phi*ifft of
-    (pi/2q) cot(pi a/q) w(a) in dlog order; the cot is taken at
+    (pi/2q) cot(pi a/q) w(a) along a = g**t; the cot is taken at
     min(a, q - a), where tan is accurate.  Even entries are not L-values.
     """
     q, units = group.q, group.units
@@ -126,7 +114,7 @@ def odd_l_values(group: UnitGroup, weights: np.ndarray | None = None) -> np.ndar
     weight[units > q // 2] *= -1  # cot(pi (q - a)/q) = -cot(pi a/q)
     if weights is not None:
         weight *= weights
-    out = np.fft.ifft(_by_dlog(group, weight))
+    out = np.fft.ifft(weight)
     out *= group.phi
     return out
 
@@ -195,14 +183,15 @@ def spectrum_of(b: int) -> Spectrum:
     group = build_unit_group(b, Level.MOD_B_SQUARED)
     table = collision_invariant(group)
     phi = group.phi
-    # S_G and P_short first: after dual_transforms they would raise the peak.
+    # S_G and P_short first: after the B1 and L1 transforms they would raise the peak.
     h, p = _short_histograms(group)
     fold = h.real.reshape(b, b - 1).sum(axis=0)  # by t mod b - 1: exact integer sums
     s_g = np.fft.fft(h, out=h)
     s_g[::b] = np.fft.fft(fold)  # the entries j = b*k (see the docstring)
     p_short = np.fft.fft(p, out=p)
-    b1, l1 = dual_transforms(group)
-    s_hat = np.fft.fft(_by_dlog(group, table.S0_num / b)) / phi
+    b1 = np.fft.fft(group.units.astype(float)) / group.q
+    l1 = odd_l_values(group)
+    s_hat = np.fft.fft(table.S0_num / b) / phi
     j = np.arange(phi)  # after the transforms, whose workspace sets the peak
     arrays = dict(s_hat=s_hat, B1=b1, S_G=s_g, P_short=p_short, L1=l1,
                   odd=j % 2 == 1, primitive=j % b != 0)
@@ -231,11 +220,10 @@ def verify_proof_steps(b: int) -> dict[str, np.ndarray]:
     b1 = spec.B1[js]
 
     def transform(values: np.ndarray) -> np.ndarray:  # sum_a values(a) conj(chi_j(a))
-        return np.fft.fft(_by_dlog(group, values.astype(float)))[js]
+        return np.fft.fft(values.astype(float))[js]
 
-    # The lemma's certificate (module docstring); g*powers < m**2 < 2**63.
-    powers = _by_dlog(group, units)
-    if powers[0] == 1 and np.array_equal(group.g * powers % m, np.roll(powers, -1)):
+    # The lemma's certificate (module docstring); g*units < m**2 < 2**63.
+    if units[0] == 1 and np.array_equal(group.g * units % m, np.roll(units, -1)):
         lemma = magnitudes(transform(units / m) - b1)
     else:
         lemma = np.full(len(js), np.inf)

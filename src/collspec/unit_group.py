@@ -57,10 +57,10 @@ def _is_primitive_root(x: int, q: int, phi: int, phi_factors: tuple[int, ...]) -
 class UnitGroup:
     """Multiplicative group of Z/qZ with a fixed primitive root.
 
-    units holds the units ascending; dlog is the length-q exponent
-    lookup, a = g**dlog[a] (mod q) on the units and -1 elsewhere, so
-    dlog[units] gives the exponents aligned with units.  Both are
-    read-only int64 arrays.
+    units[t] = g**t mod q for t = 0..phi-1, the order in which every
+    character sum is a transform; dlog is its inverse, the length-q
+    exponent lookup, a = g**dlog[a] (mod q) on the units and -1
+    elsewhere.  Both are read-only int64 arrays.
     """
 
     q: int
@@ -72,18 +72,17 @@ class UnitGroup:
 
 
 def _group_with_root(q: int, b: int, phi: int, g: int) -> UnitGroup:
-    # powers[t] = g**t mod q, filled by doubling the known prefix; every
+    # units[t] = g**t mod q, filled by doubling the known prefix; every
     # product stays below q**2 <= MAX_BASE**4 < 2**63.
-    powers = np.ones(phi, dtype=np.int64)
+    units = np.ones(phi, dtype=np.int64)
     n = 1
     while n < phi:
         k = min(n, phi - n)
-        powers[n : n + k] = powers[:k] * pow(g, n, q) % q
+        units[n : n + k] = units[:k] * pow(g, n, q) % q
         n += k
     dlog = np.full(q, -1, dtype=np.int64)
-    dlog[powers] = np.arange(phi)
-    units = np.flatnonzero(dlog >= 0)
-    if pow(g, phi, q) != 1 or units.size != phi:
+    dlog[units] = np.arange(phi)
+    if pow(g, phi, q) != 1 or np.count_nonzero(dlog >= 0) != phi:
         raise ValueError(f"{g} is not a primitive root mod {q}")
     dlog.flags.writeable = units.flags.writeable = False
     return UnitGroup(q=q, b=b, phi=phi, g=g, units=units, dlog=dlog)

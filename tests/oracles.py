@@ -3,7 +3,9 @@ library's arrays over the dual index j to.
 
 Each function evaluates one character chi_j, as a `Character`, by direct
 summation over its values, except packet_twist_sum, which sums the
-packets' twists one at a time.  None of them is on a command's path.
+packets' twists one at a time.  The direct sums run over the units in
+ascending order, not in the library's order a = g**t.  None of them is
+on a command's path.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 from collspec.characters import Character, gauss_sum
 from collspec.collision import CollisionTable, diagonal_set
 from collspec.errors import NotPrimitiveOdd, WrongModulus
-from collspec.spectrum import dual_transforms, spectrum_of
+from collspec.spectrum import odd_l_values, spectrum_of
 from collspec.unit_group import Level, build_unit_group
 
 
@@ -22,12 +24,18 @@ def conjugate(chi: Character) -> Character:
     return Character(chi.group, -chi.index % chi.group.phi)
 
 
+def ascending(group) -> np.ndarray:
+    """The permutation that sorts group.units, for sums over ascending a."""
+    return np.argsort(group.units)
+
+
 def fourier_coefficient(table: CollisionTable, chi: Character) -> complex:
     """s0_hat(chi) = (1/phi) sum_a S0(a) conj(chi(a))."""
     if chi.group.q != table.m:
         raise WrongModulus("table and character moduli differ")
-    vals = np.conj(chi.values_on_units())
-    return complex(np.dot(table.S0_num / table.b, vals)) / chi.group.phi
+    order = ascending(chi.group)
+    vals = np.conj(chi.values_on_units()[order])
+    return complex(np.dot(table.S0_num[order] / table.b, vals)) / chi.group.phi
 
 
 def bernoulli_b1(chi: Character) -> complex:
@@ -36,9 +44,9 @@ def bernoulli_b1(chi: Character) -> complex:
     (1/q) * sum_a a * conj(chi(a)) over a in [1, q).  Works on either
     modulus.
     """
-    g = chi.group
-    weights = g.units.astype(float)
-    return complex(np.dot(weights, np.conj(chi.values_on_units()))) / g.q
+    order = ascending(chi.group)
+    weights = chi.group.units[order].astype(float)
+    return complex(np.dot(weights, np.conj(chi.values_on_units()[order]))) / chi.group.q
 
 
 def diagonal_sum(chi: Character) -> complex:
@@ -99,7 +107,7 @@ def packet_twist_sum(b: int, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if mod_b.g != spec.group.g % b:
         raise ValueError(f"root {spec.group.g} mod {b * b} does not reduce to {mod_b.g} mod {b}")
     phi, phi_b = spec.group.phi, b - 1
-    _, l1_b = dual_transforms(mod_b)
+    l1_b = odd_l_values(mod_b)
     primitive, k0 = js % b != 0, js // b
     l1 = np.where(primitive, spec.L1[-js % phi], l1_b[-k0 % phi_b])
     total = np.zeros(len(js), dtype=complex)

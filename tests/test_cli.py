@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,8 @@ LIBRARY_REFUSALS = [
      "CutoffTooShort: truncation 1000 too short; need at least q^2 = 988053892081"),
     (("lvalue", "--base", "97", "--cutoff", "100000001"),
      "LimitTooLarge: truncation 100000001 exceeds the series bound 100000000"),
+    (("lvalue", "--bases", "97,997", "--cutoff", "100000000"),  # refused before base 97's work
+     "CutoffTooShort: truncation 100000000 too short; need at least q^2 = 988053892081"),
 ]
 
 
@@ -248,6 +251,20 @@ def test_dump_collision_csv(capsys):
     assert lines[1] == "1,0,2,3"
     assert lines[4] == "5,-1,-2,3"
     assert len(lines) == 7
+
+
+def test_dump_collision_fails_a_broken_antisymmetry(capsys, monkeypatch):
+    # S0 at a = 1 and 21 (one coset mod 5) swapped: the coset sums still vanish,
+    # but S0(m - a) = -S0(a), the roll by phi/2 along t, fails.
+    table = collision.collision_invariant(unit_group.build_unit_group(5))
+    i, k = (table.units.tolist().index(a) for a in (1, 21))
+    num = table.S0_num.copy()
+    num[[i, k]] = num[[k, i]]
+    assert num[i] != num[k] and not collision.coset_sums(5, table.units, num).any()
+    monkeypatch.setattr(collision, "collision_invariant",
+                        lambda group: replace(table, S0_num=num))
+    code, out, _ = run_main(capsys, "dump-collision", "--base", "5")
+    assert code == 1 and '"passed": false' in out
 
 
 def test_dump_collision_single_base_only(capsys):

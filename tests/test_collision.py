@@ -45,7 +45,7 @@ def test_diagonal_set_matches_digit_scan(b):
 
 def test_hand_table_b3():
     t = table(3)
-    assert t.units.tolist() == [1, 2, 4, 5, 7, 8]
+    assert t.units.tolist() == [1, 2, 4, 8, 7, 5]  # 2**t mod 9
     assert t.S.tolist() == [0, 1, 0, -1, -2, -1]
     # S0 = S0_num / 3: 2/3, 4/3, 2/3, -2/3, -4/3, -2/3
     assert t.S0_num.tolist() == [2, 4, 2, -2, -4, -2]
@@ -117,8 +117,10 @@ def test_antisymmetry_exact(b):
     s0 = dict(zip(t.units.tolist(), t.S0_num.tolist()))
     for a, num in s0.items():
         assert s0[t.m - a] == -num
-    # so the ascending units read backwards are m - a
-    assert np.array_equal(t.units[::-1], t.m - t.units)
+    # -1 = g**(phi/2), so a -> m - a is the roll by phi/2 along t
+    half = len(t.units) // 2
+    assert np.array_equal(np.roll(t.units, half), t.m - t.units)
+    assert np.array_equal(np.roll(t.S0_num, half), -t.S0_num)
 
 
 @pytest.mark.parametrize("b", [3, 5, 13])

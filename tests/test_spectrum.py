@@ -17,7 +17,6 @@ from collspec.errors import WrongModulus
 from collspec.spectrum import (
     centered_square_sum,
     doubling_certificate,
-    dual_transforms,
     spectrum_of,
     verify_base5_identities,
     verify_fourth_moment,
@@ -27,6 +26,7 @@ from collspec.spectrum import (
 from collspec.unit_group import Level, UnitGroup, build_unit_group, sieve_primes
 from oracles import (
     _require_primitive_odd,
+    ascending,
     bernoulli_b1,
     conjugate,
     diagonal_sum,
@@ -75,8 +75,8 @@ class ProofStepReport:
 
 @lru_cache(maxsize=4)
 def _fractional_matrix(group: UnitGroup) -> np.ndarray:
-    """{n*a/m} for all unit pairs (n, a); exact small rationals in float."""
-    u = group.units
+    """{n*a/m} for all unit pairs (n, a), ascending; exact small rationals in float."""
+    u = np.sort(group.units)
     mat = (u[:, None] * u[None, :] % group.q) / group.q
     mat.flags.writeable = False
     return mat
@@ -90,8 +90,9 @@ def per_character_proof_steps(b: int, chi: Character) -> ProofStepReport:
         raise WrongModulus("proof steps run on the mod-b**2 group")
     m, phi = group.q, group.phi
     table = spectrum_of(b).table
-    units = group.units
-    chibar = np.conj(chi.values_on_units())
+    order = ascending(group)  # the sums run over ascending a
+    units = group.units[order]
+    chibar = np.conj(chi.values_on_units()[order])
     b1 = bernoulli_b1(chi)
 
     means = table.class_sums[units % b] / b
@@ -101,7 +102,7 @@ def per_character_proof_steps(b: int, chi: Character) -> ProofStepReport:
     floor_test = abs(complex(np.dot((units // b).astype(float), chibar)) - b * b1)
 
     # Lemma: sum_a conj(chi(a)) {n a / m} = chi(n) B1, for every unit n.
-    chi_vals = chi.values_on_units()
+    chi_vals = chi.values_on_units()[order]
     lemma_vec = _fractional_matrix(group) @ chibar
     lemma = float(np.max(np.abs(lemma_vec - chi_vals * b1)))
 
@@ -122,7 +123,7 @@ def per_character_proof_steps(b: int, chi: Character) -> ProofStepReport:
     top = abs(complex(np.dot(d_top.astype(float), chibar)))
 
     s_g = diagonal_sum(chi)
-    s_vals = table.S.astype(float)
+    s_vals = table.S[order].astype(float)
     total = abs(complex(np.dot(s_vals, chibar)) + b1 * s_g.conjugate())
 
     return ProofStepReport(
@@ -269,17 +270,32 @@ def test_proof_steps_take_seven_transforms(monkeypatch, b):
     assert len(calls) == 7
 
 
-def test_broken_dlog_fails_the_lemma_certificate(monkeypatch, capsys):
-    # Two dlog entries swapped: the table by dlog is no longer g**t mod m, so the
-    # rows of the lemma are not row 1 rolled, and every lemma and slice cell fails.
+def test_broken_units_fail_the_lemma_certificate(monkeypatch, capsys):
+    # Two units swapped: the units are no longer g**t mod m, so the rows of the
+    # lemma are not row 1 rolled, and every lemma and slice cell fails.
     spec = spectrum_of(13)
-    dlog = spec.group.dlog.copy()
-    dlog[[2, 3]] = dlog[[3, 2]]
-    broken = replace(spec, group=replace(spec.group, dlog=dlog))
+    units = spec.group.units.copy()
+    units[[2, 3]] = units[[3, 2]]
+    broken = replace(spec, group=replace(spec.group, units=units))
     monkeypatch.setattr(spectrum, "spectrum_of", lambda b: broken)
     steps = verify_proof_steps(13)
     assert np.isinf(steps["lemma"]).all()
     assert np.isinf(steps["slice"]).all()
+    assert cli.main(["verify", "steps", "--base", "13"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
+
+
+def test_broken_dlog_fails_the_total_step(monkeypatch, capsys):
+    # The dlogs of 2 and 14 = 1 + b swapped in the group a spectrum is built
+    # from: the histograms behind S_G read dlog, so the total step fails.
+    group = build_unit_group(13)
+    dlog = group.dlog.copy()
+    dlog[[2, 14]] = dlog[[14, 2]]
+    monkeypatch.setattr(spectrum, "build_unit_group", lambda *args: replace(group, dlog=dlog))
+    monkeypatch.setattr(spectrum, "_held", {})
+    steps = verify_proof_steps(13)
+    assert np.isfinite(steps["lemma"]).all()
+    assert steps["total"].max() > 1
     assert cli.main(["verify", "steps", "--base", "13"]) == 1
     assert '"passed": false' in capsys.readouterr().out
 
@@ -432,12 +448,9 @@ def test_imprimitive_diagonal_sums_are_the_direct_sums(b):
 @pytest.mark.parametrize("b", SMALL_BASES)
 def test_companion_transforms_match_direct_sums(b):
     group = build_unit_group(b, Level.MOD_B)  # class numbers' group
-    b1, l1 = dual_transforms(group)
-    for j in range(group.phi):
-        chi = Character(group, j)
-        assert abs(b1[j] - bernoulli_b1(chi)) < 1e-12
-        if j % 2 == 1:  # every odd chi mod b is primitive
-            assert abs(l1[j] - l_value_closed(chi)) < 1e-12
+    l1 = spectrum.odd_l_values(group)
+    for j in range(1, group.phi, 2):  # every odd chi mod b is primitive
+        assert abs(l1[j] - l_value_closed(Character(group, j))) < 1e-12
 
 
 @pytest.mark.parametrize("b", SMALL_BASES)

@@ -34,7 +34,15 @@ def test_group_mod_9_dlog_table():
     assert g.g == 2
     # dlog[a] = t with 2**t = a; -1 off the units 0, 3, 6
     assert g.dlog.tolist() == [-1, 0, 1, -1, 2, 5, -1, 4, 3]
-    assert g.units.tolist() == [1, 2, 4, 5, 7, 8]
+    assert g.units.tolist() == [1, 2, 4, 8, 7, 5]  # units[t] = 2**t
+
+
+@pytest.mark.parametrize("b", [3, 5, 131])  # at 131, phi exceeds FLOOR_SUM_BLOCK
+@pytest.mark.parametrize("level", list(Level))
+def test_units_are_the_powers_of_the_root(b, level):
+    g = build_unit_group(b, level)
+    assert g.units.tolist() == [pow(g.g, t, g.q) for t in range(g.phi)]
+    assert g.dlog[g.units].tolist() == list(range(g.phi))
 
 
 def test_group_mod_25():
