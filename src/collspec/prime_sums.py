@@ -19,22 +19,25 @@ then gives the cross-moment bound
 whose margin is reported for (b, s, N) grids.
 
 A run is one pass: it checks every s and base, sieves once up to N,
-then takes one base at a time.  Per base it takes ln p, S0(p mod m)
-and the dlog class order once; per s, p^{-s} = exp(-s ln p) once, for
-F0 and for P.  Sums are numpy pairwise sums, not BLAS dots, whose
+then takes one base at a time.  Per base it takes the dlog class order
+and S0(p mod m) once; per s, p^{-s} = exp(-s ln p) once, for F0 and for
+P.  Per prime it holds about 17 bytes: the uint32 prime, a narrow S0,
+the int32 order and the float64 p^{-s}; the int64 argsort of the narrow
+keys is its peak.  Sums are numpy pairwise sums, not BLAS dots, whose
 threads make the last digits and the run time follow the thread count
 and the load.
 
 P comes for every chi at once: with c[t] the sum of p^{-s} over the
 primes of dlog class t, P(s, chi_j) = sum_t c[t] e(jt/phi) is one
-length-phi FFT.  Each c[t] is a pairwise sum over the class's run of
-the primes in class order; bincount and add.reduceat would sum
+length-phi FFT.  Each c[t] is a pairwise sum over the class's primes,
+gathered in class order; bincount and add.reduceat would sum
 sequentially, which raises the rounding by more than an order of
 magnitude.  F0 is summed directly over the ascending primes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Iterator, Sequence
 
@@ -44,6 +47,8 @@ from .characters import Family
 from .errors import CutoffBelowModulus, ExponentOutOfRange
 from .spectrum import Spectrum, spectrum_of
 from .unit_group import sieve_primes
+
+_BLOCK = 1 << 14  # primes per block of the per-prime setup and of F0's terms
 
 
 def _sums(spec: Spectrum, s_values: Sequence[float], cutoff: int,
@@ -56,34 +61,37 @@ def _sums(spec: Spectrum, s_values: Sequence[float], cutoff: int,
     if start == stop:
         raise CutoffBelowModulus(f"no prime in ({m}, {cutoff}]")
     p_arr = primes[start:stop]
-    residues = p_arr % m
-    # the least unsigned type: below phi = 2**16 numpy's stable sort is a radix sort
-    keys = group.dlog[residues].astype(np.min_scalar_type(group.phi - 1))
+    # The per-prime arrays set the pass's peak memory, so each is narrow and
+    # built in blocks: the dlog key t in the least unsigned type (below
+    # phi = 2**16 numpy's stable sort is a radix sort), S0(p mod m) = S0(g^t)
+    # by its numerator over b in the least signed type, the int32 class order.
+    keys = np.empty(p_arr.size, dtype=np.min_scalar_type(group.phi - 1))
+    s0_by_t = table.S0_num.astype(np.min_scalar_type(-1 - np.abs(table.S0_num).max()))
+    s0_num = np.empty(p_arr.size, dtype=s0_by_t.dtype)
+    for lo in range(0, p_arr.size, _BLOCK):
+        keys[lo : lo + _BLOCK] = group.dlog[p_arr[lo : lo + _BLOCK] % m]
+        s0_num[lo : lo + _BLOCK] = s0_by_t[keys[lo : lo + _BLOCK]]
     order = np.argsort(keys, kind="stable").astype(np.int32)  # pi(cutoff) < 2**31
-    counts = np.bincount(keys, minlength=group.phi)  # integer counts: exact
-    bounds = [0, *np.cumsum(counts).tolist()]
+    bounds = [0, *np.cumsum(np.bincount(keys, minlength=group.phi)).tolist()]  # exact
     del keys
-    # S0(p mod m) by its numerator over b, in the least signed type that holds
-    # it: the per-prime arrays set the pass's peak memory
-    s0_num = np.zeros(m, dtype=np.min_scalar_type(-1 - np.abs(table.S0_num).max()))
-    s0_num[table.units] = table.S0_num
-    s0_num = s0_num[residues]
-    del residues
-    log_p = p_arr.astype(float)
-    np.log(log_p, out=log_p)
     for s in s_values:
+        weights = p_arr.astype(float)  # p^-s = exp(-s ln p), in place
+        np.log(weights, out=weights)
         with np.errstate(over="ignore"):  # -inf: p^-s underflows to 0, refused below
-            weights = -s * log_p
+            weights *= -s
         np.exp(weights, out=weights)
         if not weights.any():  # every sum would be 0
             raise ExponentOutOfRange(f"at s = {s}, p^-s underflows to 0 from p = {p_arr[0]} on")
-        terms = s0_num / float(table.b)
-        terms *= weights
-        f_val = float(terms.sum())
-        del terms
-        weights = weights[order]  # by class
-        c = np.array([weights[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
-        del weights
+        c, t = np.empty(group.phi), 0
+        while t < group.phi:  # gathered by runs of whole classes: _BLOCK primes, or one class
+            u = max(t + 1, bisect.bisect_right(bounds, bounds[t] + _BLOCK) - 1)
+            run, at = weights[order[bounds[t] : bounds[u]]], bounds[t]
+            c[t:u] = [run[i - at : j - at].sum() for i, j in zip(bounds[t:u], bounds[t + 1 : u + 1])]
+            t = u
+        for lo in range(0, p_arr.size, _BLOCK):  # the terms of F0, in place
+            weights[lo : lo + _BLOCK] *= s0_num[lo : lo + _BLOCK] / float(table.b)
+        f_val = float(weights.sum())
+        del weights  # before the next s takes its own
         yield f_val, np.fft.ifft(c, norm="forward")  # unscaled: sum_t c[t] e(jt/phi)
 
 

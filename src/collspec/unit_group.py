@@ -21,8 +21,9 @@ import numpy as np
 from .errors import LimitTooLarge
 from .front import MAX_BASE, check_base, is_odd_prime  # numpy-free; re-exported here
 
-# Sieve memory bound: one byte per odd candidate, 0.5 GB at the bound.
+# Sieve bound, below 2**32: the primes are uint32, 0.2 GB at the bound.
 SIEVE_LIMIT = 1_000_000_000
+SIEVE_SEGMENT = 1 << 20  # odd candidates sieved at a time, a byte each: within L2
 
 
 class Level(enum.Enum):
@@ -100,21 +101,42 @@ def build_unit_group(b: int, level: Level = Level.MOD_B_SQUARED) -> UnitGroup:
     return _group_with_root(q, b, phi, g)
 
 
+def _odd_primes_upto(n: int) -> np.ndarray:
+    """The odd primes up to n, ascending, int64: one mask over the odd numbers."""
+    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            odd[2 * i * (i + 1) :: 2 * i + 1] = False  # from p*p, p = 2*i + 1
+    return 2 * np.flatnonzero(odd[1:]) + 3
+
+
 def sieve_primes(limit: int) -> np.ndarray:
-    """The primes up to limit inclusive, ascending, as a read-only int64 array:
-    the sieve of Eratosthenes over the odd numbers."""
+    """The primes up to limit inclusive, ascending, as a read-only uint32 array:
+    the sieve of Eratosthenes over the odd numbers, segmented (Bays and Hudson,
+    1977) so that it holds one SIEVE_SEGMENT of them at a time."""
     if limit < 2:
         raise ValueError(f"sieve limit must be at least 2, got {limit}")
     if limit > SIEVE_LIMIT:
         raise LimitTooLarge(f"sieve limit {limit} exceeds bound {SIEVE_LIMIT}")
-    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1, odd[0] for 2
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
-    primes *= 2  # in place: the prime list is the largest array here
-    primes += 1
+    base = _odd_primes_upto(math.isqrt(limit))
+    # pi(x) <= x/ln x * (1 + 1.2762/ln x) for x > 1 (Dusart 1999)
+    log = math.log(limit)
+    primes = np.empty(int(limit / log * (1 + 1.2762 / log)) + 1, dtype=np.uint32)
+    n, n_odd = 0, (limit + 1) // 2  # odd candidate i stands for 2*i + 1, i = 0 for 2
+    for lo in range(0, n_odd, SIEVE_SEGMENT):
+        segment = np.ones(min(SIEVE_SEGMENT, n_odd - lo), dtype=bool)
+        used = base[base * base < 2 * (lo + segment.size)]
+        # the first odd multiple of p in the segment, and not below p*p
+        starts = np.maximum(used * used // 2, lo + (used // 2 - lo) % used) - lo
+        for p, i in zip(used.tolist(), starts.tolist()):
+            segment[i::p] = False
+        found = np.flatnonzero(segment)
+        found *= 2
+        found += 2 * lo + 1
+        primes[n : n + found.size] = found
+        n += found.size
+        del segment, found  # before the next segment's
+    primes = primes[:n]
     primes[0] = 2
     primes.flags.writeable = False
     return primes

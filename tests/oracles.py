@@ -3,9 +3,11 @@ library's arrays over the dual index j to.
 
 Each function evaluates one character chi_j, as a `Character`, by direct
 summation over its values, except packet_twist_sum, which sums the
-packets' twists one at a time.  The direct sums run over the units in
-ascending order, not in the library's order a = g**t.  None of them is
-on a command's path.
+packets' twists one at a time, and the two prime-sum routes at the end,
+mask_sieve and full_array_sums, which the segmented sieve and the
+blocked prime-sum pass are held to bit for bit.  The direct sums run
+over the units in ascending order, not in the library's order a = g**t.
+None of them is on a command's path.
 """
 
 import math
@@ -115,3 +117,45 @@ def packet_twist_sum(b: int, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         twisted = np.where(primitive, spec.L1[(b * k - js) % phi], l1_b[(k - k0) % phi_b])
         total += gauss_sum(Character(mod_b, -k % phi_b)) * twisted
     return l1, 1j / (b - 1) * total
+
+
+def mask_sieve(limit: int) -> np.ndarray:
+    """The primes up to limit, int64: one byte-mask over every odd number up to
+    limit at once, the unsegmented sieve of Eratosthenes."""
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1, odd[0] for 2
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = 2 * np.flatnonzero(odd) + 1
+    primes[0] = 2
+    return primes
+
+
+def full_array_sums(spec, s_values, cutoff: int, primes: np.ndarray):
+    """[(F0(s), P(s, chi_j) for every j)] per s, by full-length arrays over the
+    primes m < p <= cutoff: int64 residues and dlogs, one ln p per base, and per
+    s the terms S0/b * p^-s and the weights copied into class order whole."""
+    group, table = spec.group, spec.table
+    m = group.q
+    start, stop = np.searchsorted(primes, [m, cutoff], side="right")
+    p_arr = primes[start:stop]
+    residues = p_arr % m
+    keys = group.dlog[residues].astype(np.min_scalar_type(group.phi - 1))
+    order = np.argsort(keys, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(keys, minlength=group.phi)).tolist()]
+    s0_num = np.zeros(m, dtype=np.min_scalar_type(-1 - np.abs(table.S0_num).max()))
+    s0_num[table.units] = table.S0_num
+    s0_num = s0_num[residues]
+    log_p = p_arr.astype(float)
+    np.log(log_p, out=log_p)
+    out = []
+    for s in s_values:
+        weights = -s * log_p
+        np.exp(weights, out=weights)
+        terms = s0_num / float(table.b)
+        terms *= weights
+        by_class = weights[order]
+        c = np.array([by_class[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
+        out.append((float(terms.sum()), np.fft.ifft(c, norm="forward")))
+    return out

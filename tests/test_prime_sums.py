@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from collspec.collision import collision_invariant
 from collspec.errors import CutoffBelowModulus, ExponentOutOfRange, LimitTooLarge
 from collspec.prime_sums import _sums, cross_moment_bound, verify_expansion
 from collspec.spectrum import spectrum_of
-from collspec.unit_group import Level, build_unit_group, sieve_primes
+from collspec.unit_group import SIEVE_SEGMENT, Level, build_unit_group, sieve_primes
+from oracles import full_array_sums
 
 
 def primes_between(m, n):
@@ -212,8 +214,49 @@ def test_class_order_matches_int64_stable_argsort(monkeypatch, b):
 
 
 def test_class_order_is_built_once_per_base_and_cutoff(counted):
-    # the four s of a sweep base share one dlog-grouped prime list
-    # and one ln p; the run shares one sieve
+    # the four s of a sweep base share one dlog-grouped prime list,
+    # each s takes one exp; the run shares one sieve
     records = cross_moment_bound([5, 7], [0.8, 1.0, 1.2, 1.5], 5000)
     assert [r["b"] for r in records] == [5] * 4 + [7] * 4
     assert counted() == {"sieve_primes": 1, "spectrum_of": 2, "argsort": 2, "exp": 8}
+
+
+def bit_identity_cutoffs(b):
+    """Cutoffs that leave (b**2, N] fewer primes than one block, one block
+    -1, 0 and +1 primes, a sieve segment's end -1, 0 and +1, and near 10**7."""
+    primes = sieve_primes(10 ** 5)
+    at = np.searchsorted(primes, b * b, side="right") + prime_sums._BLOCK - 1  # the block's last
+    return [10 ** 4, *primes[at - 1 : at + 2].tolist(),
+            2 * SIEVE_SEGMENT - 1, 2 * SIEVE_SEGMENT, 2 * SIEVE_SEGMENT + 1, 9_999_991, 10 ** 7]
+
+
+@pytest.mark.parametrize("b", [3, 5, 7, 13, 97])
+def test_blocked_pass_is_bit_identical_to_full_arrays(b):
+    # the expansion residual is a few ulps of |F0|: any reordering of a sum
+    # moves it, so the blocked pass keeps every sum's terms and tree
+    spec, s_values = spectrum_of(b), (0.8, 1.2, 2.0)
+    for cutoff in bit_identity_cutoffs(b):
+        primes = sieve_primes(cutoff)
+        got = list(_sums(spec, s_values, cutoff, primes))
+        want = full_array_sums(spec, s_values, cutoff, primes)
+        for (f, p), (f_ref, p_ref) in zip(got, want, strict=True):
+            assert np.float64(f).tobytes() == np.float64(f_ref).tobytes(), (cutoff, f, f_ref)
+            assert p.tobytes() == p_ref.tobytes(), cutoff
+
+
+def test_pass_memory_is_under_twenty_bytes_a_prime():
+    # numpy reports its buffers to tracemalloc, so this does not depend on
+    # the allocator.  Beside the uint32 primes given to it, the pass holds a
+    # 1-byte key and S0, the int32 order and the float64 p^-s (the int64
+    # argsort is the transient peak); the full-array route took about 30 bytes
+    b, cutoff = 7, 10 ** 6
+    primes, spec = sieve_primes(cutoff), spectrum_of(b)
+    n = len(primes) - np.searchsorted(primes, b * b, side="right")
+    tracemalloc.start()
+    try:
+        for _ in _sums(spec, [0.8, 1.2], cutoff, primes):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * n

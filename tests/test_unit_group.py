@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +9,14 @@ from hypothesis import strategies as st
 from collspec.errors import BaseOutOfRange, LimitTooLarge, NotOddPrime
 from collspec.unit_group import (
     MAX_BASE,
+    SIEVE_SEGMENT,
     Level,
     _group_with_root,
     build_unit_group,
     is_odd_prime,
     sieve_primes,
 )
+from oracles import mask_sieve
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -138,7 +143,7 @@ def test_sieve_small():
     assert len(sieve_primes(100)) == 25
     assert sieve_primes(100)[-1] == 97
     primes = sieve_primes(100)  # the array itself, read-only
-    assert primes.dtype == np.int64 and not primes.flags.writeable
+    assert primes.dtype == np.uint32 and not primes.flags.writeable
 
 
 def test_sieve_matches_trial_division():
@@ -150,3 +155,46 @@ def test_sieve_limits():
         sieve_primes(1)
     with pytest.raises(LimitTooLarge):
         sieve_primes(10 ** 9 + 1)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 9, 2 * SIEVE_SEGMENT - 1, 2 * SIEVE_SEGMENT,
+                                   2 * SIEVE_SEGMENT + 1, 4 * SIEVE_SEGMENT + 1])
+def test_segmented_sieve_matches_one_mask(limit):
+    # a segment holds SIEVE_SEGMENT odd candidates, 2 * SIEVE_SEGMENT integers
+    primes = sieve_primes(limit)
+    assert primes.dtype == np.uint32 and not primes.flags.writeable
+    assert np.array_equal(primes, mask_sieve(limit))
+    if limit < 100:
+        assert primes.tolist() == _trial_primes(limit)
+
+
+def test_sieve_counts_the_primes_below_ten_million():
+    primes = sieve_primes(10 ** 7)
+    assert len(primes) == 664_579 and primes[-1] == 9_999_991
+    assert np.array_equal(primes, mask_sieve(10 ** 7))
+
+
+def test_prime_count_bound_sizes_the_sieve():
+    # f(x) = x/ln x * (1 + 1.2762/ln x) >= pi(x) sizes the array the sieve
+    # fills.  f increases from x = e**2 on, below which pi(x) <= 4 < f(x), and
+    # pi steps up only at the primes: checking f(p_k) against pi(p_k) = k
+    # checks every limit up to 10**7
+    p = mask_sieve(10 ** 7).astype(float)
+    log = np.log(p)
+    assert np.all(p / log * (1 + 1.2762 / log) + 1 >= np.arange(1, len(p) + 1))
+
+
+def test_sieve_memory_is_four_bytes_a_prime_and_one_segment():
+    # numpy reports its buffers to tracemalloc; the one-mask sieve needs one
+    # byte per odd number and 8 per prime, 10.3 MB here against about 5 MB
+    limit = 10 ** 7
+    tracemalloc.start()
+    try:
+        primes = sieve_primes(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    first_segment = np.searchsorted(primes, 2 * SIEVE_SEGMENT)  # the most primes a segment finds
+    log = math.log(limit)
+    assert len(primes) <= limit / log * (1 + 1.2762 / log) <= 1.01 * len(primes)
+    assert peak <= 4.04 * len(primes) + SIEVE_SEGMENT + 8 * first_segment + 2 ** 16
