@@ -17,10 +17,6 @@ class WrongModulus(VerificationError):
     """Operation called with a character or group of the wrong modulus."""
 
 
-class NotPrimitiveOdd(VerificationError):
-    """A primitive odd character is required here."""
-
-
 class PrincipalCharacter(VerificationError):
     """The series for L(1, chi_0) diverges; need a non-principal character."""
 

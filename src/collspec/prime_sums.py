@@ -33,22 +33,25 @@ length-phi FFT.  Each c[t] is a pairwise sum over the class's primes,
 gathered in class order; bincount and add.reduceat would sum
 sequentially, which raises the rounding by more than an order of
 magnitude.  F0 is summed directly over the ascending primes.
+
+The records stay in arrays over the mask odd & primitive and its
+complement, with the bits of Python scalars: each term s0_hat * P is four
+real products, as complex * rounds (numpy's complex * does not), and each
+sum over ascending j is the last entry of a sequential cumsum.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .characters import Family
 from .errors import CutoffBelowModulus, ExponentOutOfRange
-from .spectrum import Spectrum, spectrum_of
+from .spectrum import Spectrum, magnitudes, spectrum_of
 from .unit_group import sieve_primes
 
-_BLOCK = 1 << 14  # primes per block of the per-prime setup and of F0's terms
+_BLOCK = 1 << 14  # primes per block of the setup and of F0's terms; primes or classes per run
 
 
 def _sums(spec: Spectrum, s_values: Sequence[float], cutoff: int,
@@ -72,7 +75,8 @@ def _sums(spec: Spectrum, s_values: Sequence[float], cutoff: int,
         keys[lo : lo + _BLOCK] = group.dlog[p_arr[lo : lo + _BLOCK] % m]
         s0_num[lo : lo + _BLOCK] = s0_by_t[keys[lo : lo + _BLOCK]]
     order = np.argsort(keys, kind="stable").astype(np.int32)  # pi(cutoff) < 2**31
-    bounds = [0, *np.cumsum(np.bincount(keys, minlength=group.phi)).tolist()]  # exact
+    bounds = np.zeros(group.phi + 1, dtype=np.int64)  # class t is order[bounds[t]:bounds[t+1]]
+    np.cumsum(np.bincount(keys, minlength=group.phi), out=bounds[1:])
     del keys
     for s in s_values:
         weights = p_arr.astype(float)  # p^-s = exp(-s ln p), in place
@@ -83,10 +87,12 @@ def _sums(spec: Spectrum, s_values: Sequence[float], cutoff: int,
         if not weights.any():  # every sum would be 0
             raise ExponentOutOfRange(f"at s = {s}, p^-s underflows to 0 from p = {p_arr[0]} on")
         c, t = np.empty(group.phi), 0
-        while t < group.phi:  # gathered by runs of whole classes: _BLOCK primes, or one class
-            u = max(t + 1, bisect.bisect_right(bounds, bounds[t] + _BLOCK) - 1)
-            run, at = weights[order[bounds[t] : bounds[u]]], bounds[t]
-            c[t:u] = [run[i - at : j - at].sum() for i, j in zip(bounds[t:u], bounds[t + 1 : u + 1])]
+        while t < group.phi:  # by runs of whole classes: to _BLOCK primes and classes, or one class
+            u = int(np.searchsorted(bounds, bounds[t] + _BLOCK, side="right")) - 1
+            u = max(t + 1, min(u, t + _BLOCK))
+            edges = bounds[t : u + 1].tolist()
+            run, at = weights[order[edges[0] : edges[-1]]], edges[0]
+            c[t:u] = [run[i - at : j - at].sum() for i, j in zip(edges, edges[1:])]
             t = u
         for lo in range(0, p_arr.size, _BLOCK):  # the terms of F0, in place
             weights[lo : lo + _BLOCK] *= s0_num[lo : lo + _BLOCK] / float(table.b)
@@ -107,18 +113,15 @@ def _base_records(spec: Spectrum, s_values: Sequence[float], cutoff: int,
     The dropped terms are summed on their own, not as the all-chi sum minus
     the primitive-odd one: that difference is the rounding of a sum of F's
     size, 0 or 2**-59 by chance at b = 7, and hides terms below its ulp."""
-    # Python scalars summed in order: a numpy sum would reorder the terms.
-    s_hat, b1, s_g = spec.s_hat.tolist(), spec.B1.tolist(), spec.S_G.tolist()
-    js = spec.indices(Family.PRIMITIVE_ODD).tolist()
-    prim_odd = set(js)
+    family, h = spec.odd & spec.primitive, spec.s_hat
+    # |B1| * |S_G| first, then * |P|, each as Python's abs(complex) rounds
+    b1_sg = magnitudes(spec.B1[family]) * magnitudes(spec.S_G[family])
     records = []
-    for s, (f_val, p_val) in zip(s_values, _sums(spec, s_values, cutoff, primes)):
-        p_val = p_val.tolist()
-        terms = [h * p for h, p in zip(s_hat, p_val)]
-        expansion = sum((terms[j] for j in js), 0j)
-        dropped = sum((t for j, t in enumerate(terms) if j not in prim_odd), 0j)
-        bound_terms = (abs(b1[j]) * abs(s_g[j]) * abs(p_val[j]) for j in js)
-        bound_rhs = math.fsum(bound_terms) / spec.group.phi
+    for s, (f_val, p) in zip(s_values, _sums(spec, s_values, cutoff, primes)):
+        re, im = h.real * p.real - h.imag * p.imag, h.real * p.imag + h.imag * p.real
+        expansion, dropped = (complex(np.cumsum(re[k])[-1], np.cumsum(im[k])[-1])
+                              for k in (family, ~family))
+        bound_rhs = math.fsum(b1_sg * magnitudes(p[family])) / spec.group.phi
         bound_lhs = abs(f_val)
         records.append({"b": spec.b, "s": s, "N": cutoff, "F": f_val,
                         "expansion_residual": abs(f_val - expansion),

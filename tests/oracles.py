@@ -3,22 +3,27 @@ library's arrays over the dual index j to.
 
 Each function evaluates one character chi_j, as a `Character`, by direct
 summation over its values, except packet_twist_sum, which sums the
-packets' twists one at a time, and the two prime-sum routes at the end,
-mask_sieve and full_array_sums, which the segmented sieve and the
-blocked prime-sum pass are held to bit for bit.  The direct sums run
-over the units in ascending order, not in the library's order a = g**t.
-None of them is on a command's path.
+packets' twists one at a time, and the three prime-sum routes at the end,
+mask_sieve, full_array_sums and list_records, which the segmented sieve,
+the blocked prime-sum pass and its records are held to bit for bit.  The
+direct sums run over the units in ascending order, not in the library's
+order a = g**t.  None of them is on a command's path.
 """
 
 import math
 
 import numpy as np
 
-from collspec.characters import Character, gauss_sum
+from collspec.characters import Character, Family, gauss_sum
 from collspec.collision import CollisionTable, diagonal_set
-from collspec.errors import NotPrimitiveOdd, WrongModulus
+from collspec.errors import VerificationError, WrongModulus
+from collspec.prime_sums import _sums
 from collspec.spectrum import odd_l_values, spectrum_of
 from collspec.unit_group import Level, build_unit_group
+
+
+class NotPrimitiveOdd(VerificationError):
+    """A primitive odd character is required here."""
 
 
 def conjugate(chi: Character) -> Character:
@@ -159,3 +164,27 @@ def full_array_sums(spec, s_values, cutoff: int, primes: np.ndarray):
         c = np.array([by_class[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
         out.append((float(terms.sum()), np.fft.ifft(c, norm="forward")))
     return out
+
+
+def list_records(spec, s_values, cutoff: int, primes: np.ndarray) -> list[dict]:
+    """prime_sums._base_records by Python scalars: s_hat, B1, S_G and each P
+    as lists of complex, the family as a set of indices, every product by
+    complex *, every in-order sum by sum(..., 0j)."""
+    s_hat, b1, s_g = spec.s_hat.tolist(), spec.B1.tolist(), spec.S_G.tolist()
+    js = spec.indices(Family.PRIMITIVE_ODD).tolist()
+    prim_odd = set(js)
+    records = []
+    for s, (f_val, p_val) in zip(s_values, _sums(spec, s_values, cutoff, primes)):
+        p_val = p_val.tolist()
+        terms = [h * p for h, p in zip(s_hat, p_val)]
+        expansion = sum((terms[j] for j in js), 0j)
+        dropped = sum((t for j, t in enumerate(terms) if j not in prim_odd), 0j)
+        bound_terms = (abs(b1[j]) * abs(s_g[j]) * abs(p_val[j]) for j in js)
+        bound_rhs = math.fsum(bound_terms) / spec.group.phi
+        bound_lhs = abs(f_val)
+        records.append({"b": spec.b, "s": s, "N": cutoff, "F": f_val,
+                        "expansion_residual": abs(f_val - expansion),
+                        "restriction_residual": abs(dropped),
+                        "bound_lhs": bound_lhs, "bound_rhs": bound_rhs,
+                        "margin": bound_rhs - bound_lhs})
+    return records

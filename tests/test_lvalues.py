@@ -11,7 +11,6 @@ from collspec.errors import (
     BadDiscriminant,
     CutoffTooShort,
     LimitTooLarge,
-    NotPrimitiveOdd,
     PrincipalCharacter,
 )
 from collspec.lvalues import (
@@ -26,7 +25,7 @@ from collspec.lvalues import (
 )
 from collspec.spectrum import spectrum_of
 from collspec.unit_group import Level, build_unit_group
-from oracles import bernoulli_b1, l_value_closed
+from oracles import NotPrimitiveOdd, bernoulli_b1, l_value_closed
 
 
 def legendre(b):

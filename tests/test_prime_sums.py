@@ -13,7 +13,7 @@ from collspec.errors import CutoffBelowModulus, ExponentOutOfRange, LimitTooLarg
 from collspec.prime_sums import _sums, cross_moment_bound, verify_expansion
 from collspec.spectrum import spectrum_of
 from collspec.unit_group import SIEVE_SEGMENT, Level, build_unit_group, sieve_primes
-from oracles import full_array_sums
+from oracles import full_array_sums, list_records
 
 
 def primes_between(m, n):
@@ -260,3 +260,44 @@ def test_pass_memory_is_under_twenty_bytes_a_prime():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * n
+
+
+def test_runs_cut_at_block_classes_are_bit_identical_to_full_arrays():
+    # b = 199 has phi > _BLOCK classes but fewer than _BLOCK primes in
+    # (b**2, 10**5], so only the class cap ends its runs
+    spec, cutoff = spectrum_of(199), 10 ** 5
+    primes = sieve_primes(cutoff)
+    assert spec.group.phi > prime_sums._BLOCK > np.count_nonzero(primes > spec.group.q)
+    got = list(_sums(spec, (0.8, 2.0), cutoff, primes))
+    want = full_array_sums(spec, (0.8, 2.0), cutoff, primes)
+    for (f, p), (f_ref, p_ref) in zip(got, want, strict=True):
+        assert np.float64(f).tobytes() == np.float64(f_ref).tobytes()
+        assert p.tobytes() == p_ref.tobytes()
+
+
+@pytest.mark.parametrize("b", [3, 5, 7, 13, 97, 199])
+def test_records_are_bit_identical_to_python_scalars(b):
+    # four real products round as complex *, a sequential cumsum adds as
+    # sum(..., 0j), and the bound's terms keep their order of multiplication
+    spec, s_values = spectrum_of(b), (0.8, 1.2, 2.0)
+    for cutoff in (10 ** 5, 10 ** 6):
+        primes = sieve_primes(cutoff)
+        got = prime_sums._base_records(spec, s_values, cutoff, primes)
+        want = list_records(spec, s_values, cutoff, primes)
+        assert got == want, cutoff
+        types = [[list(map(type, r.values())) for r in records] for records in (got, want)]
+        assert types[0] == types[1]
+
+
+def test_records_memory_is_under_160_bytes_a_character():
+    # the records hold arrays over the family, not Python lists of phi
+    # complex numbers: oracles.list_records takes about 360 bytes per phi
+    b, cutoff = 199, 10 ** 6
+    primes, spec = sieve_primes(cutoff), spectrum_of(b)
+    tracemalloc.start()
+    try:
+        prime_sums._base_records(spec, [0.8, 1.2], cutoff, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * spec.group.phi
