@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from collspec.characters import Family, roots_of_unity
+from collspec.characters import roots_of_unity
 from collspec.packet import TABLE1_FAMILY, TABLE1_TARGETS, packet_records
 from collspec.unit_group import Level, build_unit_group
 
@@ -101,7 +101,7 @@ def main(argv=None):
 
     if args.check_series:
         for b in (5, 7):
-            prim, imprim = check_series(b, packet_records(b, Family.ODD))
+            prim, imprim = check_series(b, packet_records(b, all_odd=True))
             print(f"series cross-check b={b}: max |stated - series route| "
                   f"= {prim:.2e} primitive, {imprim:.2e} imprimitive "
                   f"(truncation-level agreement)")

@@ -9,7 +9,7 @@ extended by chi_j(a) = 0 whenever gcd(a, q) > 1.  Index arithmetic gives
 exact closure under conjugation (j -> -j) and twisting (adding b*k twists
 by chi_k mod b), and exact answers to the structural questions:
 chi_j(-1) = (-1)**j, and chi_j mod b**2 is primitive exactly when b does
-not divide j.  family_mask turns those two facts into the families.
+not divide j.  The families are masks over j built from those two.
 
 The root-of-unity table e(k/phi) is evaluated trigonometrically once
 per phi, so every character value is a table lookup accurate to a few
@@ -24,23 +24,12 @@ tracer (perfbench/traced.py) hooks them by name.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .unit_group import UnitGroup
-
-
-class Family(enum.Enum):
-    """Character subfamilies of the mod-b**2 dual group."""
-
-    ALL = "all"
-    ODD = "odd"
-    EVEN = "even"
-    PRIMITIVE_ODD = "primitive-odd"
-    IMPRIMITIVE_ODD = "imprimitive-odd"
 
 
 @lru_cache(maxsize=None)
@@ -79,17 +68,6 @@ def _values_on_units(chi: Character) -> np.ndarray:
     vals = roots_of_unity(g.phi)[chi.index * np.arange(g.phi) % g.phi]
     vals.flags.writeable = False
     return vals
-
-
-def family_mask(family: Family, odd: np.ndarray, primitive: np.ndarray) -> np.ndarray:
-    """Membership of a family, from the parity and primitivity masks."""
-    return {
-        Family.ALL: np.ones_like(odd),
-        Family.ODD: odd,
-        Family.EVEN: ~odd,
-        Family.PRIMITIVE_ODD: odd & primitive,
-        Family.IMPRIMITIVE_ODD: odd & ~primitive,
-    }[family]
 
 
 @lru_cache(maxsize=None)

@@ -173,16 +173,17 @@ def _check_packet(b: int, cfg: RunConfig) -> list[Verdict]:
     records = packet.packet_records(b)
     n = len(records["j"])
     details = {"b": np.full(n, b), **records, "probe": Sparse(*packet.probes(records))}
-    broken = n != (b - 1) ** 2 // 2 or (records["twist_count"] != (b - 3) // 2).any()
-    return [_verdict(f"packet[b={b}]", [float(broken)], cfg.tolerance, details)]
+    cells = np.concatenate([records[k] for k in ("L1", "delta", "ratio", "phase_cos")])
+    broken = [float(n != (b - 1) ** 2 // 2), float(np.count_nonzero(~np.isfinite(cells)))]
+    return [_verdict(f"packet[b={b}]", broken, cfg.tolerance, details)]
 
 
 def _check_lvalue(b: int, cfg: RunConfig) -> list[Verdict]:
-    from . import characters, lvalues, spectrum
+    from . import lvalues, spectrum
     if cfg.cutoff is not None:
         lvalues.series_truncation(max(cfg.bases) ** 2, cfg.cutoff)  # before any base's work
     spec = spectrum.spectrum_of(b)
-    js = spec.indices(characters.Family.PRIMITIVE_ODD)
+    js = np.flatnonzero(spec.odd & spec.primitive)
     l1 = spec.L1[js]
     l_abs, b1_abs = spectrum.magnitudes(l1), spectrum.magnitudes(spec.B1[js])
     residual = np.abs(b1_abs - b / math.pi * l_abs)

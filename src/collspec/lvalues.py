@@ -31,10 +31,11 @@ import math
 
 import numpy as np
 
-from .characters import Family, roots_of_unity
+from .characters import roots_of_unity
 from .errors import BadDiscriminant, CutoffTooShort, LimitTooLarge, PrincipalCharacter
+from .front import is_odd_prime
 from .spectrum import magnitudes, odd_l_values, spectrum_of
-from .unit_group import Level, UnitGroup, build_unit_group, is_odd_prime
+from .unit_group import Level, UnitGroup, build_unit_group
 
 
 # Series truncation bound.  The harmonic sums take O(q) memory at any
@@ -107,7 +108,7 @@ def l_value_series(group: UnitGroup, js: np.ndarray, cutoff: int) -> dict[str, n
 def verify_encoding(b: int) -> dict[str, np.ndarray]:
     """|s0_hat| = (b/(pi*phi)) |L(1,chi)| |S_G(chi)|, as columns b, j over the primitive odd j."""
     spec = spectrum_of(b)
-    js = spec.indices(Family.PRIMITIVE_ODD)
+    js = np.flatnonzero(spec.odd & spec.primitive)
     s_hat_abs = magnitudes(spec.s_hat[js])
     predicted = b / (math.pi * spec.group.phi) * magnitudes(spec.L1[js]) * magnitudes(spec.S_G[js])
     return {"b": np.full(len(js), b), "j": js, "s_hat_abs": s_hat_abs, "predicted": predicted,

@@ -38,14 +38,13 @@ import math
 
 import numpy as np
 
-from .characters import Family
 from .errors import BaseOutOfRange
 from .spectrum import magnitudes, odd_l_values, spectrum_of
 
 
-def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict[str, np.ndarray]:
-    """Records for the primitive odd or all odd chi_j mod b**2, ascending j,
-    gathered from the arrays.
+def packet_records(b: int, all_odd: bool = False) -> dict[str, np.ndarray]:
+    """Records for the primitive odd chi_j mod b**2, or all odd ones if
+    all_odd, ascending j, gathered from the arrays.
 
     Columns: j; P_short; L1 = L(1, conj chi); delta; ratio = |delta|/|L1|;
     phase_cos = cos(arg delta - arg L1); twist_count, always (b-3)/2.
@@ -53,10 +52,8 @@ def packet_records(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict[str, n
     conj(chi_j) = chi_{-j}, so L1 is the spectrum's L1[-j], and delta is
     i * odd_l_values(group, K)[-j] with the kernel K of the module docstring.
     """
-    if family not in (Family.PRIMITIVE_ODD, Family.ODD):
-        raise ValueError(f"packet families are primitive-odd and odd, not {family.value}")
     spec = spectrum_of(b)
-    group, js = spec.group, spec.indices(family)
+    group, js = spec.group, np.flatnonzero(spec.odd if all_odd else spec.odd & spec.primitive)
     conj_js = -js % group.phi
     r = np.arange(1, b)
     cos = np.cos(2 * np.pi / b * np.minimum(r, b - r))
@@ -89,23 +86,23 @@ def stats_from_records(b: int, records: dict[str, np.ndarray]) -> dict:
             "std_ratio_sample": math.sqrt(centered / (n - 1)) if n > 1 else 0.0}
 
 
-def packet_stats(b: int, family: Family = Family.PRIMITIVE_ODD) -> dict:
+def packet_stats(b: int, all_odd: bool = False) -> dict:
     """Statistics of |Delta|/|L| over an odd family mod b**2.
 
-    The default is the (b-1)^2/2 primitive odd chi; Family.ODD adds the
+    The default is the (b-1)^2/2 primitive odd chi; all_odd adds the
     (b-1)/2 imprimitive ones.  Keys: those of stats_from_records.
     """
     if b < 5:
         raise BaseOutOfRange("packet statistics need b >= 5 (no even twists below)")
-    return stats_from_records(b, packet_records(b, family))
+    return stats_from_records(b, packet_records(b, all_odd))
 
 
 # Decay table: b -> (mean, population std) of |Delta|/|L| over
-# TABLE1_FAMILY, all b(b-1)/2 odd chi mod b**2.  The phase average is 0
-# for every base (conjugate pairs cancel exactly).  The `table1` command
-# still checks the primitive odd family against it, so its b = 5 row is
-# red (mean 0.8602, std 0.7141).
-TABLE1_FAMILY = Family.ODD
+# TABLE1_FAMILY, the all_odd flag: all b(b-1)/2 odd chi mod b**2.  The
+# phase average is 0 for every base (conjugate pairs cancel exactly).
+# The `table1` command still checks the primitive odd family against
+# it, so its b = 5 row is red (mean 0.8602, std 0.7141).
+TABLE1_FAMILY = True
 TABLE1_TARGETS: dict[int, tuple[float, float]] = {
     5: (0.80, 0.65),
     7: (1.03, 0.65),

@@ -93,7 +93,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Family, family_mask
 from .collision import CollisionTable, collision_invariant, diagonal_set
 from .unit_group import Level, UnitGroup, build_unit_group
 
@@ -157,10 +156,6 @@ class Spectrum:
     odd: np.ndarray
     primitive: np.ndarray
 
-    def indices(self, family: Family = Family.ALL) -> np.ndarray:
-        """The j of a family, ascending."""
-        return np.flatnonzero(family_mask(family, self.odd, self.primitive))
-
     @property
     def factorization_residual(self) -> np.ndarray:
         """|s0_hat + B1 * conj(S_G) / phi| for every j.
@@ -216,7 +211,7 @@ def verify_proof_steps(b: int) -> dict[str, np.ndarray]:
     spec = spectrum_of(b)
     group, table = spec.group, spec.table
     m, phi, units = group.q, group.phi, group.units
-    js = spec.indices(Family.PRIMITIVE_ODD)
+    js = np.flatnonzero(spec.odd & spec.primitive)
     b1 = spec.B1[js]
 
     def transform(values: np.ndarray) -> np.ndarray:  # sum_a values(a) conj(chi_j(a))
@@ -268,7 +263,7 @@ def verify_moment(b: int) -> dict:
     parseval_rhs = square_sum / phi
     parseval_rel = abs(parseval_lhs - parseval_rhs) / parseval_rhs
 
-    js = spec.indices(Family.PRIMITIVE_ODD)
+    js = np.flatnonzero(spec.odd & spec.primitive)
     lhs = math.fsum(
         abs(l_val) ** 2 * abs(s_g) ** 2
         for l_val, s_g in zip(spec.L1[js].tolist(), spec.S_G[js].tolist())
@@ -296,7 +291,7 @@ def verify_base5_identities(b: int) -> dict[str, np.ndarray]:
     doubling | |S_G| - 2|P| |, inf where doubling_certificate fails, and at
     b = 5 also | |P| - (sqrt5/2)|B1| |."""
     spec = spectrum_of(b)
-    js = spec.indices(Family.PRIMITIVE_ODD)
+    js = np.flatnonzero(spec.odd & spec.primitive)
     s_g_abs, p_abs = magnitudes(spec.S_G[js]), magnitudes(spec.P_short[js])
     if doubling_certificate(spec.group):
         doubling = np.abs(s_g_abs - 2 * p_abs)
@@ -316,7 +311,7 @@ def verify_fourth_moment() -> dict:
     rel_err.
     """
     spec = spectrum_of(5)
-    l1 = spec.L1[spec.indices(Family.PRIMITIVE_ODD)].tolist()
+    l1 = spec.L1[spec.odd & spec.primitive].tolist()
     lhs = math.fsum(abs(l_val) ** 4 for l_val in l1)
     rhs = 4 * math.pi**4 / 625 * (centered_square_sum(spec.table) / 25)
     return {"b": 5, "lhs": lhs, "rhs": rhs, "rel_err": abs(lhs - rhs) / rhs}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LimitTooLarge
-from .front import MAX_BASE, check_base, is_odd_prime  # numpy-free; re-exported here
+from .front import check_base
 
 # Sieve bound, below 2**32: the primes are uint32, 0.2 GB at the bound.
 SIEVE_LIMIT = 1_000_000_000
@@ -74,7 +74,7 @@ class UnitGroup:
 
 def _group_with_root(q: int, b: int, phi: int, g: int) -> UnitGroup:
     # units[t] = g**t mod q, filled by doubling the known prefix; every
-    # product stays below q**2 <= MAX_BASE**4 < 2**63.
+    # product stays below q**2 <= front.MAX_BASE**4 < 2**63.
     units = np.ones(phi, dtype=np.int64)
     n = 1
     while n < phi:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from collspec.characters import Character, Family, gauss_sum
+from collspec.characters import Character, gauss_sum
 from collspec.collision import CollisionTable, diagonal_set
 from collspec.errors import VerificationError, WrongModulus
 from collspec.prime_sums import _sums
@@ -171,7 +171,7 @@ def list_records(spec, s_values, cutoff: int, primes: np.ndarray) -> list[dict]:
     as lists of complex, the family as a set of indices, every product by
     complex *, every in-order sum by sum(..., 0j)."""
     s_hat, b1, s_g = spec.s_hat.tolist(), spec.B1.tolist(), spec.S_G.tolist()
-    js = spec.indices(Family.PRIMITIVE_ODD).tolist()
+    js = np.flatnonzero(spec.odd & spec.primitive).tolist()
     prim_odd = set(js)
     records = []
     for s, (f_val, p_val) in zip(s_values, _sums(spec, s_values, cutoff, primes)):

@@ -16,7 +16,9 @@ import math
 import time
 from fractions import Fraction
 
-from collspec.characters import Character, Family
+import numpy as np
+
+from collspec.characters import Character
 from collspec.collision import collision_invariant, diagonal_set
 from collspec.lvalues import class_number_check, l_value_series, verify_encoding
 from collspec.packet import TABLE1_FAMILY, TABLE1_TARGETS, packet_stats
@@ -28,7 +30,8 @@ from collspec.spectrum import (
     verify_moment,
     verify_proof_steps,
 )
-from collspec.unit_group import Level, build_unit_group, is_odd_prime
+from collspec.front import is_odd_prime
+from collspec.unit_group import Level, build_unit_group
 from oracles import l_value_closed
 
 DECOMPOSE_BASES = (3, 5, 7, 11, 13, 19, 31, 43)
@@ -51,7 +54,7 @@ def test_criterion_1_decomposition():
     worst = 0.0
     for b in DECOMPOSE_BASES:
         spec = spectrum_of(b)
-        worst = max(worst, spec.factorization_residual[spec.indices(Family.PRIMITIVE_ODD)].max())
+        worst = max(worst, spec.factorization_residual[spec.odd & spec.primitive].max())
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0
     report(1, "decomposition", ok, f"worst {worst:.2e}, {elapsed:.2f}s")
@@ -72,9 +75,9 @@ def test_criterion_3_vanishing():
     worst_hat = worst_sg = 0.0
     for b in PRIMES_TO_43:
         spec = spectrum_of(b)
-        vanishing = spec.indices(Family.EVEN), spec.indices(Family.IMPRIMITIVE_ODD)
-        for js in vanishing:
-            worst_hat = max(worst_hat, abs(spec.s_hat[js]).max())
+        vanishing = ~spec.odd, spec.odd & ~spec.primitive
+        for mask in vanishing:
+            worst_hat = max(worst_hat, abs(spec.s_hat[mask]).max())
         worst_sg = max(worst_sg, abs(spec.S_G[vanishing[1]]).max())
     ok = worst_hat < 1e-11 and worst_sg < 1e-12
     report(3, "vanishing families", ok,
@@ -138,7 +141,7 @@ def test_criterion_7_decay_table():
         print("    discrepancy report:")
         for line in failures:
             print(f"      {line}")
-        print(f"      family: {TABLE1_FAMILY.value} characters mod b^2; the")
+        print(f"      family: {'all' if TABLE1_FAMILY else 'primitive'} odd characters mod b^2; the")
         print("      packet formula and the closed-form L-values are")
         print("      cross-validated in tests/test_packet.py.  see")
         print("      scripts/table1_experiment.py for both families.")
@@ -149,7 +152,7 @@ def test_criterion_8_series_oracle():
     worst = -math.inf
     for b in (3, 5, 7):
         spec = spectrum_of(b)
-        js = spec.indices(Family.PRIMITIVE_ODD)
+        js = np.flatnonzero(spec.odd & spec.primitive)
         columns = l_value_series(spec.group, js, 10 ** 7)
         for j, series, tail in zip(js.tolist(), columns["series"], columns["tail_bound"]):
             closed = l_value_closed(Character(spec.group, j))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from collspec.characters import Character, Family, family_mask, gauss_sum
+from collspec.characters import Character, gauss_sum
 from collspec.unit_group import Level, build_unit_group
 from oracles import conjugate, is_primitive_by_subgroup
 
@@ -69,25 +69,6 @@ def test_primitivity_definitions_agree(b):
     g = build_unit_group(b, Level.MOD_B_SQUARED)
     for j in range(g.phi):
         assert (j % b != 0) == is_primitive_by_subgroup(Character(g, j))
-
-
-def family(b, fam):
-    """The j of a family mod b**2, from the index rules (odd j; b not dividing j)."""
-    j = np.arange(b * (b - 1))
-    return set(np.flatnonzero(family_mask(fam, j % 2 == 1, j % b != 0)).tolist())
-
-
-def test_primitive_odd_count_mod_25():
-    assert len(family(5, Family.PRIMITIVE_ODD)) == (5 - 1) ** 2 // 2 == 8
-
-
-def test_family_partition():
-    odd, even = family(5, Family.ODD), family(5, Family.EVEN)
-    assert odd | even == family(5, Family.ALL) == set(range(20))
-    assert not odd & even
-    prim, imprim = family(5, Family.PRIMITIVE_ODD), family(5, Family.IMPRIMITIVE_ODD)
-    assert prim | imprim == odd
-    assert not prim & imprim
 
 
 @pytest.mark.parametrize("b", [3, 5, 7])

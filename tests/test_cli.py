@@ -377,6 +377,21 @@ def test_broken_l_value_fails_classnumber(capsys, monkeypatch):
     assert "Traceback" not in out + err
 
 
+def test_nan_packet_fails(capsys, monkeypatch):
+    l_values = packet.odd_l_values
+
+    def nan_at_1(group, weights):  # Delta of chi_19 = conj chi_1 is NaN
+        out = l_values(group, weights)
+        out[1] = math.nan
+        return out
+
+    monkeypatch.setattr(packet, "odd_l_values", nan_at_1)
+    code, out, err = run_main(capsys, "packet", "--base", "5", "--format", "pretty")
+    assert code == 1
+    assert "[FAIL] packet[b=5]  worst=3" in out  # delta, ratio and phase_cos of one row
+    assert "Traceback" not in out + err
+
+
 def test_broken_diagonal_set_fails_decompose(capsys, monkeypatch):
     def moved(b):  # the member 1*(b+1) moved by 1
         members = list(collision.diagonal_set(b))
@@ -523,18 +538,18 @@ def test_help_and_refusals_end_before_numpy(argv, code):
 
 
 BACK_MODULES = [*FRONT_MODULES, "collspec.cli"]
-SPECTRUM = ["characters", "collision", "spectrum", "unit_group"]
+SPECTRUM = ["collision", "spectrum", "unit_group"]
 LAYER_CASES = [
     (("verify", "decompose", "--base", "5"), SPECTRUM),
     (("verify", "steps", "--base", "5"), SPECTRUM),
     (("verify", "vanishing", "--base", "5"), SPECTRUM),
     (("verify", "moment", "--base", "5"), SPECTRUM),
-    (("verify", "encoding", "--base", "5"), [*SPECTRUM, "lvalues"]),
+    (("verify", "encoding", "--base", "5"), [*SPECTRUM, "characters", "lvalues"]),
     (("verify", "base5", "--base", "5"), SPECTRUM),
     (("table1", "--bases", "7"), [*SPECTRUM, "packet"]),
     (("packet", "--base", "5"), [*SPECTRUM, "packet"]),
-    (("lvalue", "--base", "5", "--cutoff", "1000"), [*SPECTRUM, "lvalues"]),
-    (("classnumber", "--bases", "7"), [*SPECTRUM, "lvalues"]),
+    (("lvalue", "--base", "5", "--cutoff", "1000"), [*SPECTRUM, "characters", "lvalues"]),
+    (("classnumber", "--bases", "7"), [*SPECTRUM, "characters", "lvalues"]),
     (("cross-moment", "--base", "5", "--cutoff", "2000"), [*SPECTRUM, "prime_sums"]),
     (("expansion", "--base", "5", "--cutoff", "2000"), [*SPECTRUM, "prime_sums"]),
     (("sweep", "--bases", "5", "--cutoff", "2000"), [*SPECTRUM, "prime_sums"]),

@@ -14,7 +14,8 @@ from collspec.collision import (
     floor_sums,
 )
 from collspec.errors import WrongModulus
-from collspec.unit_group import Level, build_unit_group, is_odd_prime
+from collspec.front import is_odd_prime
+from collspec.unit_group import Level, build_unit_group
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                 61, 67, 71, 73, 79, 83, 89, 97]

@@ -6,7 +6,7 @@ import pytest
 import numpy as np
 
 from collspec import lvalues
-from collspec.characters import Character, Family
+from collspec.characters import Character
 from collspec.errors import (
     BadDiscriminant,
     CutoffTooShort,
@@ -57,9 +57,9 @@ def test_closed_form_rejects_even_and_principal():
 
 def test_magnitude_law_mod_25():
     # |B1| = (b/pi) |L| for primitive odd chi mod b^2
-    g = spectrum_of(5).group
-    for j in spectrum_of(5).indices(Family.PRIMITIVE_ODD).tolist():
-        chi = Character(g, j)
+    spec = spectrum_of(5)
+    for j in np.flatnonzero(spec.odd & spec.primitive).tolist():
+        chi = Character(spec.group, j)
         lval = abs(l_value_closed(chi))
         assert abs(bernoulli_b1(chi)) == pytest.approx(5 / math.pi * lval, abs=1e-13)
 
@@ -113,7 +113,7 @@ def test_series_memory_is_linear_in_q():
 
 def test_series_family_shapes(monkeypatch):
     spec = spectrum_of(3)
-    indices = spec.indices(Family.PRIMITIVE_ODD).tolist()
+    indices = np.flatnonzero(spec.odd & spec.primitive).tolist()
     assert len(indices) == 2
     tables = []  # one harmonic table serves every j of a call
     monkeypatch.setattr(lvalues, "_harmonic_by_residue",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collspec.characters import Character, Family
+from collspec.characters import Character
 from collspec.lvalues import l_value_series
 from collspec.packet import (
     PROBE_FLOOR,
@@ -57,7 +57,7 @@ def test_delta_conjugate_antisymmetry():
 def test_mean_phase_cos_is_zero():
     for b in (5, 7, 13):
         assert abs(packet_stats(b)["mean_phase_cos"]) < 1e-12
-        assert abs(packet_stats(b, Family.ODD)["mean_phase_cos"]) < 1e-12
+        assert abs(packet_stats(b, all_odd=True)["mean_phase_cos"]) < 1e-12
 
 
 def test_stats_b5_frozen():
@@ -123,7 +123,7 @@ def rows(records):
 
 
 def imprimitive_records(b):
-    return [r for r in rows(packet_records(b, Family.ODD)) if r["j"] % b == 0]
+    return [r for r in rows(packet_records(b, all_odd=True)) if r["j"] % b == 0]
 
 
 def cosine_series_delta(chi, l1, terms=10**6):
@@ -174,21 +174,15 @@ def test_imprimitive_delta_matches_cosine_series(b, primitive):
 
 @pytest.mark.parametrize("b", [5, 7, 13])
 def test_odd_family_extends_primitive(b):
-    odd = packet_records(b, Family.ODD)
+    odd = packet_records(b, all_odd=True)
     assert len(odd["j"]) == b * (b - 1) // 2
     assert [r for r in rows(odd) if r["j"] % b] == rows(packet_records(b))
     assert (odd["twist_count"] == (b - 3) // 2).all()
 
 
-def test_records_need_an_odd_family():
-    for family in (Family.ALL, Family.EVEN, Family.IMPRIMITIVE_ODD):
-        with pytest.raises(ValueError):
-            packet_records(5, family)
-
-
 def test_table_family_b5_row():
     # all odd chi mod 25 give the tabulated 0.80 / 0.65
-    assert TABLE1_FAMILY is Family.ODD
+    assert TABLE1_FAMILY is True
     st5 = packet_stats(5, TABLE1_FAMILY)
     assert st5["count"] == 10
     assert st5["mean_ratio"] == pytest.approx(0.7999943591105763, abs=1e-12)
@@ -198,11 +192,11 @@ def test_table_family_b5_row():
     assert abs(st5["std_ratio"] - std_ref) < 5e-4
 
 
-@pytest.mark.parametrize("family", [Family.PRIMITIVE_ODD, Family.ODD])
+@pytest.mark.parametrize("all_odd", [False, True], ids=["primitive-odd", "all-odd"])
 @pytest.mark.parametrize("b", [5, 13, 43])
-def test_records_match_the_twist_sum(b, family):
+def test_records_match_the_twist_sum(b, all_odd):
     # One cotangent transform against the (b-3)/2 twists, each weighted by its Gauss sum
-    recs = packet_records(b, family)
+    recs = packet_records(b, all_odd)
     l1, delta = packet_twist_sum(b, recs["j"])
     assert np.abs(recs["L1"] - l1).max() < 1e-13
     assert np.abs(recs["delta"] - delta).max() < 1e-13

@@ -20,6 +20,7 @@ def load(name):
     [
         ("probe_normalization", ["--bases", "5"], "--- b = 5"),
         ("table1_experiment", [], "the table's family"),
+        ("table1_experiment", ["--check-series"], "series cross-check b=7"),
     ],
 )
 def test_script_runs(capsys, name, argv, marker):

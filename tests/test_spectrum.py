@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from collspec import cli, spectrum
-from collspec.characters import Character, Family
+from collspec.characters import Character
 from collspec.collision import collision_invariant, diagonal_set
 from collspec.errors import WrongModulus
 from collspec.spectrum import (
@@ -222,27 +222,27 @@ def test_decomposition_residuals(b):
     spec = spectrum_of(b)
     group = build_unit_group(b, Level.MOD_B_SQUARED)
     assert spec.factorization_residual.shape == (group.phi,)
-    prim_odd = spec.indices(Family.PRIMITIVE_ODD)
-    assert len(prim_odd) == (b - 1) ** 2 // 2
+    prim_odd = spec.odd & spec.primitive
+    assert np.count_nonzero(prim_odd) == (b - 1) ** 2 // 2
     assert spec.factorization_residual[prim_odd].max() < 1e-12
 
 
 @pytest.mark.parametrize("b", [3, 5, 7, 11, 13])
 def test_vanishing_families(b):
     spec = spectrum_of(b)
-    for j in spec.indices(Family.EVEN):
+    for j in np.flatnonzero(~spec.odd):
         assert abs(spec.s_hat[j]) < 1e-12
-    for j in spec.indices(Family.IMPRIMITIVE_ODD):
+    for j in np.flatnonzero(spec.odd & ~spec.primitive):
         assert abs(spec.s_hat[j]) < 1e-12
         assert abs(spec.S_G[j]) < 1e-13
 
 
 @pytest.mark.parametrize("b", [5, 7])
 def test_proof_steps(b):
-    steps = verify_proof_steps(b)
+    steps, spec = verify_proof_steps(b), spectrum_of(b)
     assert list(steps) == ["b", "j", *STEP_NAMES]
     assert (steps["b"] == b).all()
-    assert steps["j"].tolist() == spectrum_of(b).indices(Family.PRIMITIVE_ODD).tolist()
+    assert steps["j"].tolist() == np.flatnonzero(spec.odd & spec.primitive).tolist()
     assert max(steps[name].max() for name in STEP_NAMES) < 1e-12
     assert not steps["endpoint_bottom"].any()  # d_0 is identically zero
     # on the units d_{m-1} is identically 1, so its transform is the constant one's
@@ -384,7 +384,7 @@ def test_factorization_in_the_theorems_form(b):
     # With S_G = -2 conj(chi)(1+b) P on odd chi, s0_hat = 2 chi(1+b) B1 conj(P) / phi,
     # where chi_j(1+b) = e(j d / phi), d = dlog(1+b).
     spec = spectrum_of(b)
-    phi, js = spec.group.phi, spec.indices(Family.PRIMITIVE_ODD)
+    phi, js = spec.group.phi, np.flatnonzero(spec.odd & spec.primitive)
     d = int(spec.group.dlog[1 + b])
     chi_1b = np.exp(2j * np.pi * (js * d % phi) / phi)
     b1, p_short = spec.B1[js], spec.P_short[js]
@@ -457,11 +457,15 @@ def test_companion_transforms_match_direct_sums(b):
 def test_spectrum_families_match_enumeration(b):
     # the masks against the definitions: chi(-1) = -1, and chi nontrivial on {1 + tb}
     spec = spectrum_of(b)
-    chars = [Character(spec.group, j) for j in range(spec.group.phi)]
+    phi = spec.group.phi
+    chars = [Character(spec.group, j) for j in range(phi)]
     odd = {chi.index for chi in chars if chi.value(-1).real < 0}
     primitive = {chi.index for chi in chars if is_primitive_by_subgroup(chi)}
-    expected = {Family.ALL: set(range(spec.group.phi)), Family.ODD: odd,
-                Family.EVEN: set(range(spec.group.phi)) - odd,
-                Family.PRIMITIVE_ODD: odd & primitive, Family.IMPRIMITIVE_ODD: odd - primitive}
-    for family in Family:
-        assert spec.indices(family).tolist() == sorted(expected[family])
+    even, prim_odd, imprim_odd = ~spec.odd, spec.odd & spec.primitive, spec.odd & ~spec.primitive
+    for mask, expected in [(spec.odd, odd), (spec.primitive, primitive),
+                           (even, set(range(phi)) - odd), (prim_odd, odd & primitive),
+                           (imprim_odd, odd - primitive)]:
+        assert np.flatnonzero(mask).tolist() == sorted(expected)
+    # even, primitive odd and imprimitive odd partition the dual group
+    assert (even.astype(int) + prim_odd + imprim_odd == 1).all()
+    assert np.count_nonzero(prim_odd) == {3: 2, 5: 8, 7: 18, 11: 50, 13: 72}[b]  # (b-1)^2/2

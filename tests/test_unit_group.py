@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collspec.errors import BaseOutOfRange, LimitTooLarge, NotOddPrime
+from collspec.front import MAX_BASE, is_odd_prime
 from collspec.unit_group import (
-    MAX_BASE,
     SIEVE_SEGMENT,
     Level,
     _group_with_root,
     build_unit_group,
-    is_odd_prime,
     sieve_primes,
 )
 from oracles import mask_sieve
