@@ -138,8 +138,8 @@ def _check_moment(b: int, cfg: RunConfig) -> list[Verdict]:
 
 
 def _check_encoding(b: int, cfg: RunConfig) -> list[Verdict]:
-    from . import lvalues
-    columns = lvalues.verify_encoding(b)
+    from . import spectrum
+    columns = spectrum.verify_encoding(b)
     return [_verdict(f"encoding[b={b}]", columns["residual"], cfg.tolerance, columns)]
 
 
@@ -255,7 +255,7 @@ CHECKS: dict[str, tuple[Callable, str]] = {
     "verify-steps": (_check_steps, "spectrum"),
     "verify-vanishing": (_check_vanishing, "spectrum"),
     "verify-moment": (_check_moment, "spectrum"),
-    "verify-encoding": (_check_encoding, "lvalues"),
+    "verify-encoding": (_check_encoding, "spectrum"),
     "verify-base5": (_check_base5, "spectrum"),
     "table1": (_check_table1, "packet"),
     "packet": (_check_packet, "packet"),

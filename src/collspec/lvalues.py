@@ -5,7 +5,8 @@ the cotangent formula for odd chi mod q, primitive or induced, for every
 chi at once (spectrum.odd_l_values).  For odd primitive chi the closed
 form L(1, chi) = i pi tau(chi) B1(conj chi)/q with |tau(chi)| = sqrt(q)
 gives |B1| = (sqrt(q)/pi) |L(1, chi)|, on modulus b**2 |B1| = (b/pi) |L|:
-lvalue-magnitude checks it between the independent transforms B1 and L1.
+lvalue-magnitude checks it between the independent transforms B1 and L1;
+the spectrum's L-encoding of |s0_hat| rests on it (spectrum.verify_encoding).
 The independent oracle is the truncated series of chi_j, named by its
 dual index j,
 
@@ -13,9 +14,8 @@ dual index j,
 
 summed over whole periods of chi so that partial summation gives the
 tail bound M_chi / N with M_chi the exact one-period maximum of
-|sum_{n <= t} chi(n)|.  l_value_series returns columns over the j it
-is given.  The series is an oracle only; no identity verification
-consumes it.
+|sum_{n <= t} chi(n)|.  l_value_series returns columns over the j it is
+given.  The series is an oracle only; no identity verification consumes it.
 
 For a prime b = 3 (mod 4), b > 3, the Legendre character mod b is odd
 with fundamental discriminant D = -b and |L(1, chi_D)| = pi*h(D)/sqrt(b)
@@ -34,7 +34,7 @@ import numpy as np
 from .characters import roots_of_unity
 from .errors import BadDiscriminant, CutoffTooShort, LimitTooLarge, PrincipalCharacter
 from .front import is_odd_prime
-from .spectrum import magnitudes, odd_l_values, spectrum_of
+from .spectrum import odd_l_values
 from .unit_group import Level, UnitGroup, build_unit_group
 
 
@@ -100,19 +100,6 @@ def l_value_series(group: UnitGroup, js: np.ndarray, cutoff: int) -> dict[str, n
         tails[i] = max_partial_sum(values) / n_eff
     return {"series": series, "series_truncation": np.full(len(js), n_eff),
             "tail_bound": tails}
-
-
-# ====== L-encoding of the spectrum ======
-
-
-def verify_encoding(b: int) -> dict[str, np.ndarray]:
-    """|s0_hat| = (b/(pi*phi)) |L(1,chi)| |S_G(chi)|, as columns b, j over the primitive odd j."""
-    spec = spectrum_of(b)
-    js = np.flatnonzero(spec.odd & spec.primitive)
-    s_hat_abs = magnitudes(spec.s_hat[js])
-    predicted = b / (math.pi * spec.group.phi) * magnitudes(spec.L1[js]) * magnitudes(spec.S_G[js])
-    return {"b": np.full(len(js), b), "j": js, "s_hat_abs": s_hat_abs, "predicted": predicted,
-            "residual": np.abs(s_hat_abs - predicted)}
 
 
 # ====== class numbers via reduced forms ======

@@ -304,6 +304,16 @@ def verify_base5_identities(b: int) -> dict[str, np.ndarray]:
     return columns
 
 
+def verify_encoding(b: int) -> dict[str, np.ndarray]:
+    """|s0_hat| = (b/(pi*phi)) |L(1,chi)| |S_G(chi)|, as columns b, j over the primitive odd j."""
+    spec = spectrum_of(b)
+    js = np.flatnonzero(spec.odd & spec.primitive)
+    s_hat_abs = magnitudes(spec.s_hat[js])
+    predicted = b / (math.pi * spec.group.phi) * magnitudes(spec.L1[js]) * magnitudes(spec.S_G[js])
+    return {"b": np.full(len(js), b), "j": js, "s_hat_abs": s_hat_abs, "predicted": predicted,
+            "residual": np.abs(s_hat_abs - predicted)}
+
+
 def verify_fourth_moment() -> dict:
     """The fourth moment of L(1, chi) over the primitive odd chi mod 25.
 

@@ -101,15 +101,6 @@ def build_unit_group(b: int, level: Level = Level.MOD_B_SQUARED) -> UnitGroup:
     return _group_with_root(q, b, phi, g)
 
 
-def _odd_primes_upto(n: int) -> np.ndarray:
-    """The odd primes up to n, ascending, int64: one mask over the odd numbers."""
-    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
-    for i in range(1, (math.isqrt(n) + 1) // 2):
-        if odd[i]:
-            odd[2 * i * (i + 1) :: 2 * i + 1] = False  # from p*p, p = 2*i + 1
-    return 2 * np.flatnonzero(odd[1:]) + 3
-
-
 def sieve_primes(limit: int) -> np.ndarray:
     """The primes up to limit inclusive, ascending, as a read-only uint32 array:
     the sieve of Eratosthenes over the odd numbers, segmented (Bays and Hudson,
@@ -118,7 +109,8 @@ def sieve_primes(limit: int) -> np.ndarray:
         raise ValueError(f"sieve limit must be at least 2, got {limit}")
     if limit > SIEVE_LIMIT:
         raise LimitTooLarge(f"sieve limit {limit} exceeds bound {SIEVE_LIMIT}")
-    base = _odd_primes_upto(math.isqrt(limit))
+    root = math.isqrt(limit)  # the odd base primes, int64: used // 2 - lo wraps in uint32
+    base = sieve_primes(root)[1:].astype(np.int64) if root > 1 else np.empty(0, np.int64)
     # pi(x) <= x/ln x * (1 + 1.2762/ln x) for x > 1 (Dusart 1999)
     log = math.log(limit)
     primes = np.empty(int(limit / log * (1 + 1.2762 / log)) + 1, dtype=np.uint32)

@@ -8,8 +8,8 @@ stream and in the pytest summary.
 Criterion 7 aggregates the packet ratio over all odd characters mod
 b**2, the family the decay table tabulates; over the primitive odd
 family alone the b = 5 row misses the table by 0.06.  If it fails, the
-printed block is the discrepancy report.  See
-scripts/table1_experiment.py for both families side by side.
+printed block is the discrepancy report.  The README's decay-table
+section lists both families side by side.
 """
 
 import math
@@ -20,12 +20,13 @@ import numpy as np
 
 from collspec.characters import Character
 from collspec.collision import collision_invariant, diagonal_set
-from collspec.lvalues import class_number_check, l_value_series, verify_encoding
+from collspec.lvalues import class_number_check, l_value_series
 from collspec.packet import TABLE1_FAMILY, TABLE1_TARGETS, packet_stats
 from collspec.prime_sums import verify_expansion
 from collspec.spectrum import (
     spectrum_of,
     verify_base5_identities,
+    verify_encoding,
     verify_fourth_moment,
     verify_moment,
     verify_proof_steps,
@@ -143,8 +144,8 @@ def test_criterion_7_decay_table():
             print(f"      {line}")
         print(f"      family: {'all' if TABLE1_FAMILY else 'primitive'} odd characters mod b^2; the")
         print("      packet formula and the closed-form L-values are")
-        print("      cross-validated in tests/test_packet.py.  see")
-        print("      scripts/table1_experiment.py for both families.")
+        print("      cross-validated in tests/test_packet.py.  see the")
+        print("      README's decay table for both families.")
     assert ok
 
 

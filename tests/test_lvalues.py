@@ -21,9 +21,8 @@ from collspec.lvalues import (
     max_partial_sum,
     reduced_forms,
     series_truncation,
-    verify_encoding,
 )
-from collspec.spectrum import spectrum_of
+from collspec.spectrum import spectrum_of, verify_encoding
 from collspec.unit_group import Level, build_unit_group
 from oracles import NotPrimitiveOdd, bernoulli_b1, l_value_closed
 

@@ -12,6 +12,7 @@ from collspec.packet import (
     PROBE_FLOOR,
     TABLE1_FAMILY,
     TABLE1_TARGETS,
+    TABLE1_TOLERANCE,
     packet_records,
     packet_stats,
     probes,
@@ -114,6 +115,16 @@ def test_probe_defining_relation():
         assert probe[row] * r["P_short"] == pytest.approx(r["L1"] + r["delta"], abs=1e-12)
 
 
+@pytest.mark.parametrize("b,spread", [(5, 4.8), (7, 10.0)])
+def test_probe_is_not_constant(b, spread):
+    # (L1 + Delta) / P varies with chi, so no chi-uniform Gauss-sum factor
+    # (1/b, 1/sqrt(b) or 1) turns P into L(1, conj chi) + Delta with this packet
+    probe, defined = probes(packet_records(b))
+    assert defined.all()
+    ratio = np.abs(probe).max() / np.abs(probe).min()
+    assert ratio > 4 and round(ratio, 1) == spread
+
+
 # ====== imprimitive odd chi and the decay table's family ======
 
 
@@ -190,6 +201,21 @@ def test_table_family_b5_row():
     mean_ref, std_ref = TABLE1_TARGETS[5]
     assert abs(st5["mean_ratio"] - mean_ref) < 5e-4
     assert abs(st5["std_ratio"] - std_ref) < 5e-4
+
+
+def test_include_principal_variant_misses_the_table():
+    # Extending the twist sum to the principal xi mod b, whose Gauss sum is
+    # -1, subtracts i*L1/phi(b) from every packet.  Over the primitive odd
+    # family that variant fits the b = 5 row but not b = 7, 13 and 19, so
+    # it is not the table's formula.
+    means = {}
+    for b in TABLE1_TARGETS:
+        recs = packet_records(b)
+        variant = np.abs(recs["delta"] - 1j * recs["L1"] / (b - 1)) / np.abs(recs["L1"])
+        means[b] = stats_from_records(b, {**recs, "ratio": variant})["mean_ratio"]
+    gaps = {b: abs(mean - TABLE1_TARGETS[b][0]) for b, mean in means.items()}
+    assert {b for b, gap in gaps.items() if gap > TABLE1_TOLERANCE} == {7, 13, 19}
+    assert [round(means[b], 4) for b in (5, 7, 13, 19)] == [0.7694, 0.9566, 1.0477, 1.0462]
 
 
 @pytest.mark.parametrize("all_odd", [False, True], ids=["primitive-odd", "all-odd"])

@@ -134,13 +134,10 @@ def _trial_primes(n):
 
 
 def test_sieve_small():
-    assert list(sieve_primes(10)) == [2, 3, 5, 7]
-    assert list(sieve_primes(2)) == [2]
-    assert list(sieve_primes(3)) == [2, 3]
-    assert list(sieve_primes(4)) == [2, 3]
-    assert list(sieve_primes(9)) == [2, 3, 5, 7]
-    assert len(sieve_primes(100)) == 25
-    assert sieve_primes(100)[-1] == 97
+    # the sieve seeds itself with the primes up to isqrt(limit): every limit
+    # up to 200 passes through each base case of that recursion
+    for limit in range(2, 201):
+        assert sieve_primes(limit).tolist() == _trial_primes(limit), limit
     primes = sieve_primes(100)  # the array itself, read-only
     assert primes.dtype == np.uint32 and not primes.flags.writeable
 
@@ -171,6 +168,14 @@ def test_sieve_counts_the_primes_below_ten_million():
     primes = sieve_primes(10 ** 7)
     assert len(primes) == 664_579 and primes[-1] == 9_999_991
     assert np.array_equal(primes, mask_sieve(10 ** 7))
+
+
+@pytest.mark.parametrize("k, count", [(1, 4), (2, 25), (3, 168), (4, 1229), (5, 9592),
+                                      (6, 78_498), (8, 5_761_455)])  # 10**7 above
+def test_sieve_counts_pi_of_powers_of_ten(k, count):
+    # pi(10**k) as tabulated literals: an oracle that shares nothing with any
+    # sieve, where the self-seeded sieve would carry its own errors upward
+    assert len(sieve_primes(10 ** k)) == count
 
 
 def test_prime_count_bound_sizes_the_sieve():
