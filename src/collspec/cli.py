@@ -224,7 +224,7 @@ def _check_expansion(cfg: RunConfig) -> list[Verdict]:
 
 def _check_dump_collision(b: int, cfg: RunConfig) -> list[Verdict]:
     from . import collision, unit_group
-    group = unit_group.build_unit_group(b)
+    group = unit_group.build_unit_group(b * b)
     table = collision.collision_invariant(group)
     coset_ok = not collision.coset_sums(b, table.units, table.S0_num).any()
     # a -> m - a is the roll by phi/2 along t, as -1 = g**(phi/2): it swaps the halves.

@@ -32,21 +32,31 @@ from .errors import BaseOutOfRange, NotOddPrime, VerificationError
 # per phi = b(b-1), is at most 4 GB (3.99 GB at b = 3583).  The model bounds
 # `verify decompose` at b = 199, 499 and 997 from above (48.3, 93.5, 288.8 MB),
 # and at b = 997 `verify steps` (353.2 MB) and `expansion --cutoff 10^7` (332 MiB).
+# Measured (os.wait4): `verify moment` 1,151 MB at b = 1999 and 3,435 MB at 3583,
+# `verify steps` 1,359 MB at 1999, against the model's 1,366 and 4,283 MB.
 MAX_BASE = 3583
 
 OUT_DIR_ENV = "COLLSPEC_OUT_DIR"
 
 
-def is_odd_prime(n: int) -> bool:
-    """Deterministic trial-division primality test; rejects 2."""
-    if n < 3 or n % 2 == 0:
-        return False
-    d = 3
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n, ascending, by trial division; () for n < 2."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def is_odd_prime(n: int) -> bool:
+    """Whether n is an odd prime; rejects 2."""
+    return n % 2 == 1 and prime_factors(n) == (n,)
 
 
 def check_base(b: int) -> None:
@@ -97,7 +107,7 @@ COMMANDS = {
     "packet": Command("per-character packet records"),
     "lvalue": Command("closed-form L(1) values", flags=("--cutoff",)),
     "classnumber": Command("h(-b) two ways", whole_run=True,
-                           bases=tuple(b for b in range(7, 164) if is_odd_prime(b) and b % 4 == 3)),
+                           bases=tuple(b for b in range(7, 164) if b % 4 == 3 and is_odd_prime(b))),
     "cross-moment": Command("triangle-inequality margin", whole_run=True, flags=PRIME_SUM_FLAGS),
     "expansion": Command("finite spectral expansion", whole_run=True, flags=PRIME_SUM_FLAGS),
     "sweep": Command("margin over a (b, s) grid", whole_run=True, flags=PRIME_SUM_FLAGS,

@@ -35,7 +35,7 @@ from .characters import roots_of_unity
 from .errors import BadDiscriminant, CutoffTooShort, LimitTooLarge, PrincipalCharacter
 from .front import is_odd_prime
 from .spectrum import odd_l_values
-from .unit_group import Level, UnitGroup, build_unit_group
+from .unit_group import UnitGroup, build_unit_group
 
 
 # Series truncation bound.  The harmonic sums take O(q) memory at any
@@ -135,7 +135,7 @@ def class_number_check(b: int) -> dict:
     if not is_odd_prime(b) or b % 4 != 3 or b <= 3:
         raise BadDiscriminant(f"need a prime b = 3 (mod 4), b > 3; got {b}")
     # The Legendre symbol is chi_{(b-1)/2} mod b, odd since b = 3 (mod 4).
-    l_val = complex(odd_l_values(build_unit_group(b, Level.MOD_B))[(b - 1) // 2])
+    l_val = complex(odd_l_values(build_unit_group(b))[(b - 1) // 2])
     raw = math.sqrt(b) * abs(l_val) / math.pi
     return {"b": b, "D": -b, "h_from_L": round(raw), "h_from_forms": len(reduced_forms(-b)),
             "pre_rounding": raw}

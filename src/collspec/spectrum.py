@@ -58,7 +58,9 @@ B1.  The slices need no transform of their own: by the floor identity
 d_n(a) = a/m + {n*a/m} - {(n+1)*a/m}, d_n's transform is exactly
 [1 + chi(n) - chi(n+1)], at most 3 in modulus, times row 1's, so the
 slice residual is 3 * lemma; a failed certificate makes both inf.  The
-steps take seven length-phi transforms whatever b is.  At b = 31 the
+endpoint slice d_{m-1} is 1 at every unit, so its transform is the
+constant step's; a unit where it is not makes endpoint_top inf.  The
+steps take six length-phi transforms whatever b is.  At b = 31 the
 worst step residual is 4.8e-13, the floor step (lemma 1.3e-14, slice
 3.9e-14); every step agrees with the per-character direct sums within
 5.0e-13 there.
@@ -94,7 +96,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import CollisionTable, collision_invariant, diagonal_set
-from .unit_group import Level, UnitGroup, build_unit_group
+from .unit_group import UnitGroup, build_unit_group
 
 
 # ====== every character at once ======
@@ -175,7 +177,7 @@ def spectrum_of(b: int) -> Spectrum:
     if b in _held:
         return _held[b]
     _held.clear()
-    group = build_unit_group(b, Level.MOD_B_SQUARED)
+    group = build_unit_group(b * b)
     table = collision_invariant(group)
     phi = group.phi
     # S_G and P_short first: after the B1 and L1 transforms they would raise the peak.
@@ -223,17 +225,20 @@ def verify_proof_steps(b: int) -> dict[str, np.ndarray]:
     else:
         lemma = np.full(len(js), np.inf)
 
+    constant = magnitudes(transform(np.ones(phi)))
+    top_is_one = (m * units // m - (m - 1) * units // m == 1).all()  # d_{m-1} on the units
+
     return {
         "b": np.full(len(js), b),
         "j": js,
         "centering": magnitudes(transform(table.class_sums[units % b] / b)),
-        "constant": magnitudes(transform(np.ones(phi))),
+        "constant": constant,
         "fractional": magnitudes(transform(units % b / b)),
         "floor": magnitudes(transform(units // b) - b * b1),
         "lemma": lemma,
         "slice": 3 * lemma,  # d_n = a/m + row n - row n+1 (module docstring)
         "endpoint_bottom": np.full(len(js), float(np.max(units // m))),
-        "endpoint_top": magnitudes(transform(m * units // m - (m - 1) * units // m)),
+        "endpoint_top": constant if top_is_one else np.full(len(js), np.inf),
         "total": magnitudes(transform(table.S) + b1 * np.conj(spec.S_G[js])),
     }
 

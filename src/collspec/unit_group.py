@@ -5,53 +5,25 @@ root g identifies the dual group with Z/phi(q)Z: every unit a equals
 g**t for a unique exponent t = dlog(a), and character evaluation
 downstream reduces to index arithmetic mod phi(q).  Residues are kept
 canonical (in {0, ..., q-1}) throughout; "unit" always means
-gcd(a, q) = 1.
+gcd(a, q) = 1.  The modulus names the group: build_unit_group(b * b)
+carries the character family, build_unit_group(b) the class numbers.
 
 The prime sieve shared by the truncated Dirichlet sums lives here too.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LimitTooLarge
-from .front import check_base
+from .front import check_base, prime_factors
 
 # Sieve bound, below 2**32: the primes are uint32, 0.2 GB at the bound.
 SIEVE_LIMIT = 1_000_000_000
 SIEVE_SEGMENT = 1 << 20  # odd candidates sieved at a time, a byte each: within L2
-
-
-class Level(enum.Enum):
-    """Which modulus the group lives on."""
-
-    MOD_B = "b"
-    MOD_B_SQUARED = "b^2"
-
-
-def _prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def _is_primitive_root(x: int, q: int, phi: int, phi_factors: tuple[int, ...]) -> bool:
-    if math.gcd(x, q) != 1:
-        return False
-    return all(pow(x, phi // p, q) != 1 for p in phi_factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +61,17 @@ def _group_with_root(q: int, b: int, phi: int, g: int) -> UnitGroup:
     return UnitGroup(q=q, b=b, phi=phi, g=g, units=units, dlog=dlog)
 
 
-def build_unit_group(b: int, level: Level = Level.MOD_B_SQUARED) -> UnitGroup:
-    """Build the unit group mod b or mod b**2 with the least primitive root."""
+def build_unit_group(q: int) -> UnitGroup:
+    """The unit group mod q = b or q = b**2, b an odd prime up to MAX_BASE, with
+    the least primitive root.  Any other q is refused as check_base refuses b."""
+    root = math.isqrt(q) if isinstance(q, int) and q > 0 else 0
+    b = root if root * root == q else q
     check_base(b)
-    if level is Level.MOD_B:
-        q, phi = b, b - 1
-    else:
-        q, phi = b * b, b * (b - 1)
-    factors = _prime_factors(phi)
-    g = next(x for x in range(2, q) if _is_primitive_root(x, q, phi, factors))
+    phi = q - q // b
+    factors = prime_factors(phi)
+    # the gcd test first: no power of a non-unit is 1 mod q, so it passes the rest
+    g = next(x for x in range(2, q)
+             if math.gcd(x, q) == 1 and all(pow(x, phi // p, q) != 1 for p in factors))
     return _group_with_root(q, b, phi, g)
 
 

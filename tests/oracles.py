@@ -19,7 +19,7 @@ from collspec.collision import CollisionTable, diagonal_set
 from collspec.errors import VerificationError, WrongModulus
 from collspec.prime_sums import _sums
 from collspec.spectrum import odd_l_values, spectrum_of
-from collspec.unit_group import Level, build_unit_group
+from collspec.unit_group import build_unit_group
 
 
 class NotPrimitiveOdd(VerificationError):
@@ -110,7 +110,7 @@ def packet_twist_sum(b: int, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     directly; the L-values are the library's L1 arrays mod b**2 and mod b.
     """
     spec = spectrum_of(b)
-    mod_b = build_unit_group(b, Level.MOD_B)
+    mod_b = build_unit_group(b)
     if mod_b.g != spec.group.g % b:
         raise ValueError(f"root {spec.group.g} mod {b * b} does not reduce to {mod_b.g} mod {b}")
     phi, phi_b = spec.group.phi, b - 1

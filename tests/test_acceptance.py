@@ -32,7 +32,7 @@ from collspec.spectrum import (
     verify_proof_steps,
 )
 from collspec.front import is_odd_prime
-from collspec.unit_group import Level, build_unit_group
+from collspec.unit_group import build_unit_group
 from oracles import l_value_closed
 
 DECOMPOSE_BASES = (3, 5, 7, 11, 13, 19, 31, 43)
@@ -190,7 +190,7 @@ def test_criterion_10_expansion():
 def test_criterion_11_exact_structure():
     ok = True
     for b in PRIMES_TO_97:
-        table = collision_invariant(build_unit_group(b, Level.MOD_B_SQUARED))
+        table = collision_invariant(build_unit_group(b * b))
         m = table.m
         for k in range(1, b):
             if table.S0_num[table.units % b == k].sum() != 0:

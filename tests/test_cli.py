@@ -256,7 +256,7 @@ def test_dump_collision_csv(capsys):
 def test_dump_collision_fails_a_broken_antisymmetry(capsys, monkeypatch):
     # S0 at a = 1 and 21 (one coset mod 5) swapped: the coset sums still vanish,
     # but S0(m - a) = -S0(a), the roll by phi/2 along t, fails.
-    table = collision.collision_invariant(unit_group.build_unit_group(5))
+    table = collision.collision_invariant(unit_group.build_unit_group(25))
     i, k = (table.units.tolist().index(a) for a in (1, 21))
     num = table.S0_num.copy()
     num[[i, k]] = num[[k, i]]

@@ -15,14 +15,14 @@ from collspec.collision import (
 )
 from collspec.errors import WrongModulus
 from collspec.front import is_odd_prime
-from collspec.unit_group import Level, build_unit_group
+from collspec.unit_group import build_unit_group
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                 61, 67, 71, 73, 79, 83, 89, 97]
 
 
 def table(b):
-    return collision_invariant(build_unit_group(b, Level.MOD_B_SQUARED))
+    return collision_invariant(build_unit_group(b * b))
 
 
 def test_diagonal_set_b3():
@@ -57,7 +57,7 @@ def test_hand_table_b3():
 
 def test_rejects_mod_b_group():
     with pytest.raises(WrongModulus):
-        collision_invariant(build_unit_group(3, Level.MOD_B))
+        collision_invariant(build_unit_group(3))
 
 
 @pytest.mark.parametrize("b", [3, 5, 7, 11, 13])
@@ -87,7 +87,7 @@ def collision_by_rows(group):
 
 @pytest.mark.parametrize("b", [b for b in range(3, 252) if is_odd_prime(b)] + [499])
 def test_floor_sums_match_row_oracle(b):
-    group = build_unit_group(b, Level.MOD_B_SQUARED)
+    group = build_unit_group(b * b)
     t = collision_invariant(group)
     for got, want in zip((t.S, t.S0_num, t.class_sums), collision_by_rows(group)):
         assert got.dtype == want.dtype == np.int64
@@ -143,7 +143,7 @@ def test_class_means_structure():
 
 def test_memory_is_linear_in_phi():
     # b x phi temporaries would peak near 480 MB at b = 251 (phi = 63,000)
-    group = build_unit_group(251, Level.MOD_B_SQUARED)
+    group = build_unit_group(251 * 251)
     tracemalloc.start()
     try:
         collision_invariant(group)

@@ -23,12 +23,12 @@ from collspec.lvalues import (
     series_truncation,
 )
 from collspec.spectrum import spectrum_of, verify_encoding
-from collspec.unit_group import Level, build_unit_group
+from collspec.unit_group import build_unit_group
 from oracles import NotPrimitiveOdd, bernoulli_b1, l_value_closed
 
 
 def legendre(b):
-    group = build_unit_group(b, Level.MOD_B)
+    group = build_unit_group(b)
     return Character(group, (b - 1) // 2)
 
 
@@ -45,7 +45,7 @@ def test_closed_form_legendre_mod_3():
 
 
 def test_closed_form_rejects_even_and_principal():
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
+    g = build_unit_group(25)
     with pytest.raises(NotPrimitiveOdd):
         l_value_closed(Character(g, 0))
     with pytest.raises(NotPrimitiveOdd):
@@ -64,7 +64,7 @@ def test_magnitude_law_mod_25():
 
 
 def test_series_agrees_with_closed_form():
-    g = build_unit_group(3, Level.MOD_B_SQUARED)
+    g = build_unit_group(9)
     closed = l_value_closed(Character(g, 1))
     columns = l_value_series(g, [1], 200_000)
     assert list(columns) == ["series", "series_truncation", "tail_bound"]
@@ -83,7 +83,7 @@ def test_series_legendre_mod_3():
 
 
 def test_series_guards():
-    g = build_unit_group(3, Level.MOD_B_SQUARED)
+    g = build_unit_group(9)
     with pytest.raises(PrincipalCharacter):
         l_value_series(g, [1, 0], 10 ** 5)
     with pytest.raises(PrincipalCharacter):
@@ -100,7 +100,7 @@ def test_series_guards():
 
 def test_series_memory_is_linear_in_q():
     # summing all 10**7 terms at once would peak near 150 MB
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
+    g = build_unit_group(25)
     tracemalloc.start()
     try:
         l_value_series(g, [1], 10**7)
@@ -125,7 +125,7 @@ def test_series_family_shapes(monkeypatch):
 
 
 def test_max_partial_sum_bounds():
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
+    g = build_unit_group(25)
     js = [1, 3, 7]
     columns = l_value_series(g, js, 10**5)
     for j, series, n_eff, tail in zip(js, *columns.values()):

@@ -18,7 +18,7 @@ from collspec.packet import (
     probes,
     stats_from_records,
 )
-from collspec.unit_group import Level, build_unit_group
+from collspec.unit_group import build_unit_group
 from oracles import conjugate, packet_twist_sum
 
 
@@ -49,7 +49,7 @@ def test_record_counts(b, count):
 def test_delta_conjugate_antisymmetry():
     # conj(Delta(chi)) = -Delta(conj chi); this forces mean cos = 0
     recs = {r["j"]: r for r in rows(packet_records(7))}
-    g = build_unit_group(7, Level.MOD_B_SQUARED)
+    g = build_unit_group(49)
     for j, r in recs.items():
         jbar = (-j) % g.phi
         assert recs[jbar]["delta"] == pytest.approx(-r["delta"].conjugate(), abs=1e-12)
@@ -158,7 +158,7 @@ def cosine_series_delta(chi, l1, terms=10**6):
 
 @pytest.mark.parametrize("b", [5, 7])
 def test_imprimitive_l1_matches_series(b):
-    g = build_unit_group(b, Level.MOD_B_SQUARED)
+    g = build_unit_group(b * b)
     recs = imprimitive_records(b)
     assert len(recs) == (b - 1) // 2
     columns = l_value_series(g, [-r["j"] for r in recs], 10**6)  # conj(chi_j) = chi_{-j}
@@ -176,7 +176,7 @@ def test_imprimitive_l1_matches_series(b):
     ],
 )
 def test_imprimitive_delta_matches_cosine_series(b, primitive):
-    g = build_unit_group(b, Level.MOD_B_SQUARED)
+    g = build_unit_group(b * b)
     records = rows(packet_records(b)) if primitive else imprimitive_records(b)
     for r in records:
         alt, tail = cosine_series_delta(Character(g, r["j"]), r["L1"])

@@ -12,7 +12,7 @@ from collspec.collision import collision_invariant
 from collspec.errors import CutoffBelowModulus, ExponentOutOfRange, LimitTooLarge
 from collspec.prime_sums import _sums, cross_moment_bound, verify_expansion
 from collspec.spectrum import spectrum_of
-from collspec.unit_group import SIEVE_SEGMENT, Level, build_unit_group, sieve_primes
+from collspec.unit_group import SIEVE_SEGMENT, build_unit_group, sieve_primes
 from oracles import full_array_sums, list_records
 
 
@@ -75,7 +75,7 @@ def counted(monkeypatch):
 def test_principal_sum_exact_oracle():
     # s = 2 keeps everything rational: sum of 1/p^2 over 9 < p <= 100
     # for the oracle and for the principal entry of the pass's P
-    g = build_unit_group(3, Level.MOD_B_SQUARED)
+    g = build_unit_group(9)
     primes = sieve_primes(100)
     expected = sum(Fraction(1, p * p) for p in primes_between(9, 100))
     [(_, p_all)] = pass_sums(3, [2.0], 100)
@@ -85,7 +85,7 @@ def test_principal_sum_exact_oracle():
 
 
 def test_f_trunc_two_line_oracle():
-    t = collision_invariant(build_unit_group(3, Level.MOD_B_SQUARED))
+    t = collision_invariant(build_unit_group(9))
     [(val, _)] = pass_sums(3, [2.0], 1000)
     s0 = dict(zip(t.units.tolist(), t.S0_num.tolist()))
     expected = math.fsum(
@@ -95,7 +95,7 @@ def test_f_trunc_two_line_oracle():
 
 
 def test_character_sum_matches_termwise():
-    g = build_unit_group(3, Level.MOD_B_SQUARED)
+    g = build_unit_group(9)
     chi = Character(g, 1)
     primes = sieve_primes(5000)
     val = p_trunc(chi, 1.2, 5000, primes)
@@ -203,7 +203,7 @@ def test_class_order_matches_int64_stable_argsort(monkeypatch, b):
     # the pass sorts the narrow dlog keys; the order must be int64's stable one
     fake_np = LoggingNumpy(logged=("argsort",))
     monkeypatch.setattr(prime_sums, "np", fake_np)
-    group = build_unit_group(b)
+    group = build_unit_group(b * b)
     cutoff = 3 * group.q
     pass_sums(b, [1.2], cutoff)
     [(_, (keys,), order)] = fake_np.calls

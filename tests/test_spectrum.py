@@ -23,7 +23,7 @@ from collspec.spectrum import (
     verify_moment,
     verify_proof_steps,
 )
-from collspec.unit_group import Level, UnitGroup, build_unit_group, sieve_primes
+from collspec.unit_group import UnitGroup, build_unit_group, sieve_primes
 from oracles import (
     _require_primitive_odd,
     ascending,
@@ -37,8 +37,8 @@ from oracles import (
 )
 
 SMALL_BASES = (3, 5, 7, 11, 13)
-G9 = build_unit_group(3, Level.MOD_B_SQUARED)
-G3 = build_unit_group(3, Level.MOD_B)
+G9 = build_unit_group(9)
+G3 = build_unit_group(3)
 T9 = collision_invariant(G9)
 STEP_NAMES = ("centering", "constant", "fractional", "floor", "lemma", "slice",
               "endpoint_bottom", "endpoint_top", "total")
@@ -163,7 +163,7 @@ def test_coefficient_conjugate_symmetry():
 
 
 def test_fourier_inversion_b5():
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
+    g = build_unit_group(25)
     t = collision_invariant(g)
     chars = [Character(g, j) for j in range(g.phi)]
     coeffs = {c.index: fourier_coefficient(t, c) for c in chars}
@@ -220,7 +220,7 @@ def test_short_partial_sum_b3():
 @pytest.mark.parametrize("b", [3, 5, 13])
 def test_decomposition_residuals(b):
     spec = spectrum_of(b)
-    group = build_unit_group(b, Level.MOD_B_SQUARED)
+    group = build_unit_group(b * b)
     assert spec.factorization_residual.shape == (group.phi,)
     prim_odd = spec.odd & spec.primitive
     assert np.count_nonzero(prim_odd) == (b - 1) ** 2 // 2
@@ -260,14 +260,15 @@ def test_proof_steps_match_per_character_oracle(b):
 
 
 @pytest.mark.parametrize("b", [5, 13, 31])
-def test_proof_steps_take_seven_transforms(monkeypatch, b):
-    # the slices come from the lemma's transform: no transform per diagonal slice
+def test_proof_steps_take_six_transforms(monkeypatch, b):
+    # the slices come from the lemma's transform, the top endpoint from the
+    # constant step's: no transform per diagonal slice
     spectrum_of(b)
     calls = []
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append(1) or fft(*args, **kw))
     verify_proof_steps(b)
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
 def test_broken_units_fail_the_lemma_certificate(monkeypatch, capsys):
@@ -285,10 +286,25 @@ def test_broken_units_fail_the_lemma_certificate(monkeypatch, capsys):
     assert '"passed": false' in capsys.readouterr().out
 
 
+def test_a_non_unit_fails_the_endpoint_step(monkeypatch, capsys):
+    # A unit replaced by 0, where d_{m-1} is 0 rather than 1: the top endpoint
+    # is no longer the constant step's transform, and every cell of it fails.
+    spec = spectrum_of(13)
+    units = spec.group.units.copy()
+    units[5] = 0
+    broken = replace(spec, group=replace(spec.group, units=units))
+    monkeypatch.setattr(spectrum, "spectrum_of", lambda b: broken)
+    steps = verify_proof_steps(13)
+    assert np.isinf(steps["endpoint_top"]).all()
+    assert np.isfinite(steps["constant"]).all()
+    assert cli.main(["verify", "steps", "--base", "13"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
+
+
 def test_broken_dlog_fails_the_total_step(monkeypatch, capsys):
     # The dlogs of 2 and 14 = 1 + b swapped in the group a spectrum is built
     # from: the histograms behind S_G read dlog, so the total step fails.
-    group = build_unit_group(13)
+    group = build_unit_group(169)
     dlog = group.dlog.copy()
     dlog[[2, 14]] = dlog[[14, 2]]
     monkeypatch.setattr(spectrum, "build_unit_group", lambda *args: replace(group, dlog=dlog))
@@ -344,7 +360,7 @@ def test_base5_extras():
     # the constant: 4 pi^4 / 625
     assert fourth["rhs"] == pytest.approx(
         4 * math.pi ** 4 / 625 * centered_square_sum(
-            collision_invariant(build_unit_group(5, Level.MOD_B_SQUARED))
+            collision_invariant(build_unit_group(25))
         ) / 25
     )
 
@@ -369,7 +385,7 @@ def test_doubling_certificate_at_every_odd_prime_below_1000():
     # The certificate holds at every base, and P's histogram rolled one step too
     # far fails it at every base.
     for b in sieve_primes(1000)[1:].tolist():
-        group = build_unit_group(b)
+        group = build_unit_group(b * b)
         assert doubling_certificate(group), b
         members = np.array(diagonal_set(b))
         h = spectrum._term_histogram(group, members + 1, members)
@@ -400,7 +416,7 @@ def test_factorization_in_the_theorems_form(b):
 @pytest.mark.parametrize("b", SMALL_BASES)
 def test_spectrum_arrays_match_direct_sums(b):
     spec = spectrum_of(b)
-    mod_b = build_unit_group(b, Level.MOD_B)  # chi_{b*k} mod b**2 is induced by chi_k mod b
+    mod_b = build_unit_group(b)  # chi_{b*k} mod b**2 is induced by chi_k mod b
     assert mod_b.g == spec.group.g % b
     for j in range(spec.group.phi):
         chi = Character(spec.group, j)
@@ -447,7 +463,7 @@ def test_imprimitive_diagonal_sums_are_the_direct_sums(b):
 
 @pytest.mark.parametrize("b", SMALL_BASES)
 def test_companion_transforms_match_direct_sums(b):
-    group = build_unit_group(b, Level.MOD_B)  # class numbers' group
+    group = build_unit_group(b)  # class numbers' group
     l1 = spectrum.odd_l_values(group)
     for j in range(1, group.phi, 2):  # every odd chi mod b is primitive
         assert abs(l1[j] - l_value_closed(Character(group, j))) < 1e-12

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collspec.errors import BaseOutOfRange, LimitTooLarge, NotOddPrime
-from collspec.front import MAX_BASE, is_odd_prime
+from collspec.front import MAX_BASE, is_odd_prime, prime_factors
 from collspec.unit_group import (
     SIEVE_SEGMENT,
-    Level,
     _group_with_root,
     build_unit_group,
     sieve_primes,
@@ -30,9 +29,25 @@ def test_is_odd_prime():
     assert not is_odd_prime(True)
 
 
+def test_is_odd_prime_matches_the_sieve():
+    limit = 10 ** 4
+    assert [n for n in range(limit + 1) if is_odd_prime(n)] == sieve_primes(limit)[1:].tolist()
+
+
+def test_prime_factors_match_brute_force():
+    # the distinct prime factors of every n < 10**4, marked off prime by prime
+    limit = 10 ** 4
+    factors = [[] for _ in range(limit)]
+    for p in _trial_primes(limit):
+        for n in range(p, limit, p):
+            factors[n].append(p)
+    for n in range(1, limit):
+        assert prime_factors(n) == tuple(factors[n]), n
+
+
 def test_group_mod_9_dlog_table():
     # g = 2 generates (Z/9Z)*: 1, 2, 4, 8, 7, 5
-    g = build_unit_group(3, Level.MOD_B_SQUARED)
+    g = build_unit_group(9)
     assert g.q == 9
     assert g.phi == 6
     assert g.g == 2
@@ -42,15 +57,15 @@ def test_group_mod_9_dlog_table():
 
 
 @pytest.mark.parametrize("b", [3, 5, 131])  # at 131, phi exceeds FLOOR_SUM_BLOCK
-@pytest.mark.parametrize("level", list(Level))
-def test_units_are_the_powers_of_the_root(b, level):
-    g = build_unit_group(b, level)
+@pytest.mark.parametrize("k", [1, 2])
+def test_units_are_the_powers_of_the_root(b, k):
+    g = build_unit_group(b ** k)
     assert g.units.tolist() == [pow(g.g, t, g.q) for t in range(g.phi)]
     assert g.dlog[g.units].tolist() == list(range(g.phi))
 
 
 def test_group_mod_25():
-    g = build_unit_group(5, Level.MOD_B_SQUARED)
+    g = build_unit_group(25)
     assert g.phi == 20
     assert len(g.units) == 20
     assert sorted(g.dlog[g.units].tolist()) == list(range(20))
@@ -58,7 +73,7 @@ def test_group_mod_25():
 
 
 def test_group_mod_b():
-    g = build_unit_group(7, Level.MOD_B)
+    g = build_unit_group(7)
     assert g.q == 7
     assert g.phi == 6
     assert pow(g.g, g.phi, 7) == 1
@@ -71,26 +86,28 @@ def test_least_root_mod_b_is_a_root_mod_b_squared():
     bases = [b for b in range(3, MAX_BASE + 1) if is_odd_prime(b)]
     assert len(bases) == 501
     for b in bases:
-        g = build_unit_group(b, Level.MOD_B).g
+        g = build_unit_group(b).g
         assert pow(g, b - 1, b * b) != 1, b
 
 
-@pytest.mark.parametrize("bad", [2, 4, 9, 1, 0, -3])
+@pytest.mark.parametrize("bad", [2, 4, 15, 27, 1, 0, -3])  # 9 = 3**2 names a group
 def test_rejects_non_odd_prime(bad):
+    # a modulus that is no odd prime b, nor the square of one
     with pytest.raises(NotOddPrime):
-        build_unit_group(bad, Level.MOD_B_SQUARED)
+        build_unit_group(bad)
 
 
-@pytest.mark.parametrize("big", [3593, 2**61 - 1, 2**62])  # primes, then an even number
+# primes and the square of one, then an even number, the square of 2**31
+@pytest.mark.parametrize("big", [3593, 3593 * 3593, 2**61 - 1, 2**62])
 def test_rejects_base_above_bound_before_primality(big):
     # trial division of 2**61 - 1 would run for hours
     with pytest.raises(BaseOutOfRange):
-        build_unit_group(big, Level.MOD_B)
+        build_unit_group(big)
 
 
 @pytest.mark.parametrize("b", SMALL_PRIMES)
 def test_dlog_inverts_power(b):
-    g = build_unit_group(b, Level.MOD_B_SQUARED)
+    g = build_unit_group(b * b)
     for a in range(g.q):
         t = int(g.dlog[a])
         if a % b == 0:
@@ -102,7 +119,7 @@ def test_dlog_inverts_power(b):
 @given(st.sampled_from(SMALL_PRIMES), st.data())
 @settings(max_examples=40, deadline=None)
 def test_dlog_is_homomorphism(b, data):
-    g = build_unit_group(b, Level.MOD_B_SQUARED)
+    g = build_unit_group(b * b)
     x = data.draw(st.sampled_from(g.units.tolist()))
     y = data.draw(st.sampled_from(g.units.tolist()))
     assert g.dlog[x * y % g.q] == (g.dlog[x] + g.dlog[y]) % g.phi
@@ -110,12 +127,12 @@ def test_dlog_is_homomorphism(b, data):
 
 @pytest.mark.parametrize("b", SMALL_PRIMES)
 def test_minus_one_has_half_order(b):
-    g = build_unit_group(b, Level.MOD_B_SQUARED)
+    g = build_unit_group(b * b)
     assert g.dlog[g.q - 1] == g.phi // 2
 
 
 def test_dlog_by_residue_array():
-    g = build_unit_group(3, Level.MOD_B_SQUARED)
+    g = build_unit_group(9)
     arr = g.dlog
     assert arr[0] == -1 and arr[3] == -1 and arr[6] == -1
     assert arr[2] == 1 and arr[5] == 5
