@@ -31,7 +31,7 @@ from .errors import BaseOutOfRange, NotOddPrime, VerificationError
 # Supported bases: the largest prime whose modelled peak RSS, 48 MB + 330 bytes
 # per phi = b(b-1), is at most 4 GB (3.99 GB at b = 3583).  The model bounds
 # `verify decompose` at b = 199, 499 and 997 from above (48.3, 93.5, 288.8 MB),
-# and at b = 997 `verify steps` (353.2 MB) and `expansion --cutoff 10^7` (332 MiB).
+# and at b = 997 `verify steps` (353.2 MB) and `expansion --cutoff 10^7` (338 MiB).
 # Measured (os.wait4): `verify moment` 1,151 MB at b = 1999 and 3,435 MB at 3583,
 # `verify steps` 1,359 MB at 1999, against the model's 1,366 and 4,283 MB.
 MAX_BASE = 3583

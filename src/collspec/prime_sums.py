@@ -18,21 +18,23 @@ then gives the cross-moment bound
 
 whose margin is reported for (b, s, N) grids.
 
-A run is one pass: it checks every s and base, sieves once up to N,
-then takes one base at a time.  Per base it takes the dlog class order
-and S0(p mod m) once; per s, p^{-s} = exp(-s ln p) once, for F0 and for
-P.  Per prime it holds about 17 bytes: the uint32 prime, a narrow S0,
-the int32 order and the float64 p^{-s}; the int64 argsort of the narrow
-keys is its peak.  Sums are numpy pairwise sums, not BLAS dots, whose
-threads make the last digits and the run time follow the thread count
-and the load.
+A run is one pass: it checks every s and base, sieves once up to N, then
+takes one base at a time.  Per base it takes the dlog class order and
+S0(p mod m) once; per s, p^{-s} = exp(-s ln p) once, for F0 and for P.
+Per prime it holds about 17 bytes: the uint32 prime, a narrow S0, the
+int32 order and the float64 p^{-s}; the int64 argsort of the narrow
+keys, or the int64 index of a class-sum gather, is its peak.  Sums are
+numpy pairwise sums, not BLAS dots, whose threads make the last digits
+and the run time follow the thread count and the load.
 
 P comes for every chi at once: with c[t] the sum of p^{-s} over the
 primes of dlog class t, P(s, chi_j) = sum_t c[t] e(jt/phi) is one
-length-phi FFT.  Each c[t] is a pairwise sum over the class's primes,
-gathered in class order; bincount and add.reduceat would sum
-sequentially, which raises the rounding by more than an order of
-magnitude.  F0 is summed directly over the ascending primes.
+length-phi FFT.  Each c[t] is a pairwise sum over the class's primes in
+class order: the classes of k primes are the rows of one gather, one per
+size k, and numpy sums each row of it as it sums the row alone.
+bincount and add.reduceat would sum sequentially, which raises the
+rounding by more than an order of magnitude.  F0 is summed directly
+over the ascending primes.
 
 The records stay in arrays over the mask odd & primitive and its
 complement, with the bits of Python scalars: each term s0_hat * P is four
@@ -51,7 +53,7 @@ from .errors import CutoffBelowModulus, ExponentOutOfRange
 from .spectrum import Spectrum, magnitudes, spectrum_of
 from .unit_group import sieve_primes
 
-_BLOCK = 1 << 14  # primes per block of the setup and of F0's terms; primes or classes per run
+_BLOCK = 1 << 14  # primes per block of the setup and of F0's terms
 
 
 def _sums(spec: Spectrum, s_values: Sequence[float], cutoff: int,
@@ -75,8 +77,8 @@ def _sums(spec: Spectrum, s_values: Sequence[float], cutoff: int,
         keys[lo : lo + _BLOCK] = group.dlog[p_arr[lo : lo + _BLOCK] % m]
         s0_num[lo : lo + _BLOCK] = s0_by_t[keys[lo : lo + _BLOCK]]
     order = np.argsort(keys, kind="stable").astype(np.int32)  # pi(cutoff) < 2**31
-    bounds = np.zeros(group.phi + 1, dtype=np.int64)  # class t is order[bounds[t]:bounds[t+1]]
-    np.cumsum(np.bincount(keys, minlength=group.phi), out=bounds[1:])
+    sizes = np.bincount(keys, minlength=group.phi)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))  # class t is order[bounds[t]:bounds[t+1]]
     del keys
     for s in s_values:
         weights = p_arr.astype(float)  # p^-s = exp(-s ln p), in place
@@ -86,14 +88,10 @@ def _sums(spec: Spectrum, s_values: Sequence[float], cutoff: int,
         np.exp(weights, out=weights)
         if not weights.any():  # every sum would be 0
             raise ExponentOutOfRange(f"at s = {s}, p^-s underflows to 0 from p = {p_arr[0]} on")
-        c, t = np.empty(group.phi), 0
-        while t < group.phi:  # by runs of whole classes: to _BLOCK primes and classes, or one class
-            u = int(np.searchsorted(bounds, bounds[t] + _BLOCK, side="right")) - 1
-            u = max(t + 1, min(u, t + _BLOCK))
-            edges = bounds[t : u + 1].tolist()
-            run, at = weights[order[edges[0] : edges[-1]]], edges[0]
-            c[t:u] = [run[i - at : j - at].sum() for i, j in zip(edges, edges[1:])]
-            t = u
+        c = np.empty(group.phi)
+        for k in np.flatnonzero(np.bincount(sizes)):  # each size once: np.unique imports numpy.ma
+            rows = np.flatnonzero(sizes == k)
+            c[rows] = weights[order[bounds[rows, None] + np.arange(k)]].sum(axis=1)
         for lo in range(0, p_arr.size, _BLOCK):  # the terms of F0, in place
             weights[lo : lo + _BLOCK] *= s0_num[lo : lo + _BLOCK] / float(table.b)
         f_val = float(weights.sum())

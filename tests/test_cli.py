@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from collspec import cli, collision, front, lvalues, packet, prime_sums, spectrum, unit_group
@@ -392,6 +393,23 @@ def test_nan_packet_fails(capsys, monkeypatch):
     assert "Traceback" not in out + err
 
 
+def test_rolled_prime_sums_fail_expansion_not_restriction(capsys, monkeypatch):
+    sums = prime_sums._sums
+
+    def rolled(*args):  # P(s, chi_j) handed to chi_{j+1}
+        for f_val, p in sums(*args):
+            yield f_val, np.roll(p, 1)
+
+    monkeypatch.setattr(prime_sums, "_sums", rolled)
+    code, out, _ = run_main(capsys, "expansion", "--base", "7", "--cutoff", "100000")
+    assert code == 1
+    expansion, restriction = strict_json(out)["verdicts"]
+    assert expansion["check"] == "expansion" and not expansion["passed"]
+    # s0_hat vanishes off the family, so the dropped terms stay at rounding
+    # whatever P is: restriction cannot see this fault
+    assert restriction["check"] == "restriction" and restriction["passed"]
+
+
 def test_broken_diagonal_set_fails_decompose(capsys, monkeypatch):
     def moved(b):  # the member 1*(b+1) moved by 1
         members = list(collision.diagonal_set(b))
@@ -504,7 +522,9 @@ def run_entry(*argv):
 
 
 @pytest.mark.parametrize("argv", [("packet", "--base", "5"), ("verify", "decompose", "--base", "5"),
-                                  ("dump-collision", "--base", "5"), ("--help",)], ids=" ".join)
+                                  ("dump-collision", "--base", "5"), ("--help",),
+                                  ("expansion", "--base", "5", "--cutoff", "2000"),
+                                  ("sweep", "--bases", "3,5", "--cutoff", "20000")], ids=" ".join)
 def test_command_path_skips_numpy_ma_and_fractions(argv):
     code, report, _ = run_entry(*argv)
     assert code == 0

@@ -223,17 +223,25 @@ def test_class_order_is_built_once_per_base_and_cutoff(counted):
 
 def bit_identity_cutoffs(b):
     """Cutoffs that leave (b**2, N] fewer primes than one block, one block
-    -1, 0 and +1 primes, a sieve segment's end -1, 0 and +1, and near 10**7."""
-    primes = sieve_primes(10 ** 5)
-    at = np.searchsorted(primes, b * b, side="right") + prime_sums._BLOCK - 1  # the block's last
-    return [10 ** 4, *primes[at - 1 : at + 2].tolist(),
+    -1, 0 and +1 primes, 8 and 128 primes a class on average where below
+    10**7 (numpy's pairwise sum unrolls from 8 terms and splits above 128),
+    a sieve segment's end -1, 0 and +1, and near 10**7."""
+    primes = sieve_primes(10 ** 7)
+    start = np.searchsorted(primes, b * b, side="right")
+    at = start + prime_sums._BLOCK - 1  # the block's last
+    means = [i for i in (start + 8 * b * (b - 1), start + 128 * b * (b - 1)) if i < primes.size]
+    return [next(n for n in (10 ** 4, 10 ** 5) if n > b * b), *primes[at - 1 : at + 2].tolist(),
+            *primes[means].tolist(),
             2 * SIEVE_SEGMENT - 1, 2 * SIEVE_SEGMENT, 2 * SIEVE_SEGMENT + 1, 9_999_991, 10 ** 7]
 
 
-@pytest.mark.parametrize("b", [3, 5, 7, 13, 97])
+# b = 199 at 10**5 leaves most classes empty or of one prime; b = 13, 43 and 97
+# give many classes of one size on either side of 8 or 128 terms
+@pytest.mark.parametrize("b", [3, 5, 7, 13, 43, 97, 199])
 def test_blocked_pass_is_bit_identical_to_full_arrays(b):
     # the expansion residual is a few ulps of |F0|: any reordering of a sum
-    # moves it, so the blocked pass keeps every sum's terms and tree
+    # moves it, so the pass keeps every sum's terms and tree, the class sums
+    # gathered by size included
     spec, s_values = spectrum_of(b), (0.8, 1.2, 2.0)
     for cutoff in bit_identity_cutoffs(b):
         primes = sieve_primes(cutoff)
@@ -244,12 +252,14 @@ def test_blocked_pass_is_bit_identical_to_full_arrays(b):
             assert p.tobytes() == p_ref.tobytes(), cutoff
 
 
-def test_pass_memory_is_under_twenty_bytes_a_prime():
+@pytest.mark.parametrize("b,cutoff", [(7, 10 ** 6), (97, 10 ** 7)])
+def test_pass_memory_is_under_twenty_bytes_a_prime(b, cutoff):
     # numpy reports its buffers to tracemalloc, so this does not depend on
     # the allocator.  Beside the uint32 primes given to it, the pass holds a
     # 1-byte key and S0, the int32 order and the float64 p^-s (the int64
-    # argsort is the transient peak); the full-array route took about 30 bytes
-    b, cutoff = 7, 10 ** 6
+    # argsort or a class-sum gather's int64 index is the transient peak); the
+    # full-array route took about 30 bytes.  At b = 97 many classes share a
+    # size, so one gather takes many of them
     primes, spec = sieve_primes(cutoff), spectrum_of(b)
     n = len(primes) - np.searchsorted(primes, b * b, side="right")
     tracemalloc.start()
@@ -260,19 +270,6 @@ def test_pass_memory_is_under_twenty_bytes_a_prime():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * n
-
-
-def test_runs_cut_at_block_classes_are_bit_identical_to_full_arrays():
-    # b = 199 has phi > _BLOCK classes but fewer than _BLOCK primes in
-    # (b**2, 10**5], so only the class cap ends its runs
-    spec, cutoff = spectrum_of(199), 10 ** 5
-    primes = sieve_primes(cutoff)
-    assert spec.group.phi > prime_sums._BLOCK > np.count_nonzero(primes > spec.group.q)
-    got = list(_sums(spec, (0.8, 2.0), cutoff, primes))
-    want = full_array_sums(spec, (0.8, 2.0), cutoff, primes)
-    for (f, p), (f_ref, p_ref) in zip(got, want, strict=True):
-        assert np.float64(f).tobytes() == np.float64(f_ref).tobytes()
-        assert p.tobytes() == p_ref.tobytes()
 
 
 @pytest.mark.parametrize("b", [3, 5, 7, 13, 97, 199])
